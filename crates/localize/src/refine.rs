@@ -9,7 +9,7 @@
 //!
 //! until the estimate converges.
 
-use crate::likelihood::{angular_z, MIN_D_ETA};
+use crate::likelihood::{cone_geometry, MIN_D_ETA};
 use adapt_math::linalg::WeightedLsq3;
 use adapt_math::vec3::UnitVec3;
 use adapt_recon::ComptonRing;
@@ -72,6 +72,9 @@ pub fn refine(
     initial: UnitVec3,
     config: &RefineConfig,
 ) -> Option<RefineResult> {
+    // each ring's (cone angle, angular sigma) is the same every iteration;
+    // the gate residual is `angular_z` with this geometry hoisted
+    let cones: Vec<(f64, f64)> = rings.iter().map(|r| cone_geometry(r, r.d_eta)).collect();
     let mut s = initial;
     let mut lsq = WeightedLsq3::new();
     let mut inliers = 0usize;
@@ -80,8 +83,8 @@ pub fn refine(
             (config.gate_z_initial * config.gate_decay.powi(iteration as i32)).max(config.gate_z);
         lsq.reset();
         inliers = 0;
-        for ring in rings {
-            let z = angular_z(ring, s, ring.d_eta);
+        for (ring, &(cone_theta, sigma)) in rings.iter().zip(&cones) {
+            let z = (ring.axis.angle_to(s) - cone_theta) / sigma;
             if z.abs() <= gate {
                 let d = ring.d_eta.max(MIN_D_ETA);
                 lsq.add(ring.axis.as_vec(), ring.eta, 1.0 / (d * d));

@@ -172,18 +172,28 @@ pub fn ring_cone_geoms_scaled(
 ) -> Vec<ConeGeom> {
     rings
         .iter()
-        .map(|r| {
-            let (cone_theta, sigma) = cone_geometry(r, r.d_eta);
-            let sigma = sigma * sigma_scale;
-            ConeGeom {
-                axis: r.axis,
-                eta: r.eta.clamp(-1.0, 1.0),
-                cone_theta,
-                sigma,
-                skip_gap: floor_z * sigma,
-            }
-        })
+        .map(|r| ring_cone_geom(r, r.d_eta, floor_z, sigma_scale))
         .collect()
+}
+
+/// One ring's [`ConeGeom`] scored at uncertainty `d_eta` (the sky maps
+/// pass the ring's own dη, the approximation stage its floored dη),
+/// with the angular sigma inflated by `sigma_scale`.
+pub(crate) fn ring_cone_geom(
+    ring: &ComptonRing,
+    d_eta: f64,
+    floor_z: f64,
+    sigma_scale: f64,
+) -> ConeGeom {
+    let (cone_theta, sigma) = cone_geometry(ring, d_eta);
+    let sigma = sigma * sigma_scale;
+    ConeGeom {
+        axis: ring.axis,
+        eta: ring.eta.clamp(-1.0, 1.0),
+        cone_theta,
+        sigma,
+        skip_gap: floor_z * sigma,
+    }
 }
 
 impl SkyMap {

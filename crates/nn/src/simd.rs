@@ -697,14 +697,17 @@ fn dot_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// The vectorized cone sweep: the skymap rasterization hot loop, shared
-// by the raster (`adapt_localize::SkyMap`) and HEALPix
-// (`adapt_healpix::HealpixSkyMap`) pixelizations. Both rasterizers
-// precompute one [`ConeGeom`] per Compton ring and accumulate the
-// robust cone log-likelihood over a plane of candidate pixel centers;
-// keeping the sweep here guarantees the two pixelizations (and the
-// coarse-to-fine refinement passes built on them) score pixels with
-// the *same* arithmetic, bit for bit, on every dispatch path.
+// The vectorized cone sweep: the robust cone log-likelihood hot loop,
+// shared by three users — the raster (`adapt_localize::SkyMap`) and
+// HEALPix (`adapt_healpix::HealpixSkyMap`) pixelizations, and the
+// localizer's approximation stage (`adapt_localize::approximate`),
+// which scores its cone-sampled candidate directions as one plane.
+// Each user precomputes one [`ConeGeom`] per Compton ring and
+// accumulates the robust cone log-likelihood over a plane of candidate
+// directions; keeping the sweep here guarantees the pixelizations (and
+// the coarse-to-fine refinement passes built on them) and the
+// approximation stage score with the *same* arithmetic, bit for bit,
+// on every dispatch path.
 
 use adapt_math::vec3::UnitVec3;
 use rayon::prelude::*;

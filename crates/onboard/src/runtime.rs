@@ -281,12 +281,19 @@ impl FlightRunReport {
 /// the first epoch attempts the best level the budget allows; the EWMA
 /// replaces them after one observation each.
 ///
-/// Retuned for the SIMD kernels: a full-ML burst epoch (543 rings,
-/// checkout profile) now measures ~39 ms total — the NN stages shrank
-/// ~3x but the classical approximate+refine stage still dominates.
-/// ReducedMl rides the INT8 plan (~2x faster than its scalar-era cost)
-/// and CoarseSkymap the vectorized cone sweep (~1.5x).
-pub const COST_PRIORS_MS: [f64; 4] = [30.0, 10.0, 5.0, 4.0];
+/// The cheap rungs are the median per-rung p50s of four `epoch-deck`
+/// runs (`perfbench`, seed 1, 96 epochs of ~100–1000 rings, 2-core
+/// AVX2 Xeon) after the approximation stage moved onto the vectorized
+/// cone sweep: reduced-ml 5.4 ms (5.1–5.9), coarse-skymap 1.9 ms
+/// (1.8–2.1), classical 4.1 ms (3.6–4.3). Coarse-skymap is now the
+/// cheapest rung: classical and both ML rungs pay the approximation,
+/// which no longer dominates an epoch.
+///
+/// Full-ml's prior stays at 30 ms although the same runs measure it at
+/// 5.7 ms: `crates/ground/tests/counter_coverage.rs` (flight leg B)
+/// relies on a 25 ms deadline's 20 ms budget sitting below it, so the
+/// first epoch degrades deterministically on any host.
+pub const COST_PRIORS_MS: [f64; 4] = [30.0, 5.4, 1.9, 4.1];
 
 /// EWMA weight of a new cost observation.
 pub const COST_ALPHA: f64 = 0.4;
