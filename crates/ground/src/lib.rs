@@ -14,9 +14,12 @@
 //! - the pool orders epochs by **deadline slack** (earliest absolute
 //!   deadline first) across per-worker shards with stealing, so the
 //!   degradation ladder engages only on streams actually behind;
-//! - every worker executes the *same* compiled plans (one
+//! - every worker localizes through one shared
+//!   [`EpochScheduler`](adapt_onboard::EpochScheduler) — the same
+//!   degradation ladder, spans, alert assembly and transition log as the
+//!   flight runtime — executing the *same* compiled plans (one
 //!   [`CompiledMlp`](adapt_nn::CompiledMlp), one shared INT8 plan) with
-//!   per-worker scratch, and derives each epoch's RNG via
+//!   per-worker scratch, and each epoch's RNG derives from
 //!   [`epoch_rng_seed`](adapt_onboard::epoch_rng_seed) — localizations
 //!   are bit-identical to a single-stream run with the same seeds;
 //! - [`fanout::SubscriberPopulation`] delivers each alert to the

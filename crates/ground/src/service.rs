@@ -18,14 +18,18 @@
 //! worker is free first takes the most urgent epoch anywhere in the
 //! system.
 //!
-//! All workers execute the *same* compiled plans — the float
-//! [`CompiledMlp`] built once before the pool starts and the INT8 plan
-//! from the model set's shared cache — with per-worker scratch
-//! ([`InferenceWorkspace`]) and a per-epoch RNG derived by
-//! [`epoch_rng_seed`] from the stream's localizer seed. That derivation
-//! is what makes every localization bit-identical to a single-stream
-//! [`FlightRuntime`](adapt_onboard::FlightRuntime) run with the same
-//! seeds, regardless of worker count or steal order.
+//! Every worker localizes through one shared [`EpochScheduler`] — the
+//! same degradation ladder the single-stream
+//! [`FlightRuntime`](adapt_onboard::FlightRuntime) worker calls — so
+//! level choice, the cost model, spans, alert assembly and the transition
+//! log are one implementation. All workers execute the *same* compiled
+//! plans (the float [`CompiledMlp`] built once before the pool starts and
+//! the INT8 plan from the model set's shared cache) with per-worker
+//! scratch ([`InferenceWorkspace`]) and a per-epoch RNG derived by
+//! [`epoch_rng_seed`](adapt_onboard::epoch_rng_seed) from the stream's
+//! localizer seed. That derivation is what makes every localization
+//! bit-identical to a single-stream run with the same seeds, regardless
+//! of worker count or steal order.
 //!
 //! The degradation ladder engages per *task*, not per service: a worker
 //! picks the level from the epoch's own remaining deadline slack and the
@@ -37,20 +41,16 @@ use crate::fanout::SubscriberPopulation;
 use crate::pool::{PoolStats, WorkStealingPool};
 use adapt_core::training::TrainedModels;
 use adapt_localize::{InferenceWorkspace, SkyPixelization};
-use adapt_math::angles::polar_angle_deg;
-use adapt_math::rad_to_deg;
+use adapt_math::stats::quantile_ceil_rank;
 use adapt_nn::CompiledMlp;
 use adapt_onboard::{
-    choose_level, epoch_rng_seed, DegradationLevel, EpochLocalizer, GrbAlert, OnlineTrigger,
-    OnlineTriggerConfig, OpenEpoch, COST_PRIORS_MS,
+    EpochLocalizer, EpochScheduler, GrbAlert, OnlineTrigger, OnlineTriggerConfig, OpenEpoch,
+    ScheduledEpoch,
 };
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
 use adapt_telemetry::{
-    AlertRecord, Counter, CounterHandle, GaugeHandle, HistogramHandle, LiveObserver, Recorder,
-    Stage, TraceSpanRecord,
+    Counter, CounterHandle, GaugeHandle, LiveObserver, Recorder, TraceSpanRecord,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -180,23 +180,8 @@ pub struct GroundReport {
 impl GroundReport {
     /// Epoch-latency percentile (`q` in `[0, 1]`); `None` with no alerts.
     pub fn latency_percentile_ms(&self, q: f64) -> Option<f64> {
-        if self.epoch_latencies_ms.is_empty() {
-            return None;
-        }
-        let mut lat = self.epoch_latencies_ms.clone();
-        lat.sort_by(f64::total_cmp);
-        let idx = ((lat.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).ceil() as usize;
-        Some(lat[idx.min(lat.len() - 1)])
+        quantile_ceil_rank(&self.epoch_latencies_ms, q)
     }
-}
-
-/// An epoch in flight between a lane and a pool worker.
-struct GroundTask {
-    stream_id: usize,
-    epoch_index: u64,
-    localizer_seed: u64,
-    epoch: OpenEpoch,
-    ready: Instant,
 }
 
 /// One stream's ingest state inside a shard.
@@ -214,20 +199,17 @@ struct Lane {
 }
 
 /// Live-registry handles for the ground service, registered once per
-/// run so the hot paths touch only atomics. Per-stream alert counters
-/// and per-worker epoch counters give `adapt top` its breakdown tables;
-/// `adapt_pool_pending` arms the watchdog's pool-stall check and
-/// `adapt_alert_latency_ms` its deadline-burn check.
+/// run so the hot paths touch only atomics (the scheduler registers the
+/// ladder's own). Per-stream alert counters and per-worker epoch counters
+/// give `adapt top` its breakdown tables; `adapt_pool_pending` arms the
+/// watchdog's pool-stall check.
 struct GroundLive {
     events_ingested: CounterHandle,
-    epochs_opened: CounterHandle,
     alerts_by_stream: Vec<(usize, CounterHandle)>,
-    per_level: [CounterHandle; 4],
     per_worker: Vec<CounterHandle>,
     fanout_delivered: CounterHandle,
     fanout_shed: CounterHandle,
     pool_pending: GaugeHandle,
-    alert_latency: HistogramHandle,
 }
 
 impl GroundLive {
@@ -238,7 +220,6 @@ impl GroundLive {
         reg.gauge("adapt_pool_workers", &[]).set(workers as f64);
         GroundLive {
             events_ingested: reg.counter("adapt_events_ingested_total", &[]),
-            epochs_opened: reg.counter("adapt_epochs_opened_total", &[]),
             alerts_by_stream: stream_ids
                 .iter()
                 .map(|&id| {
@@ -249,8 +230,6 @@ impl GroundLive {
                     )
                 })
                 .collect(),
-            per_level: DegradationLevel::ALL
-                .map(|l| reg.counter("adapt_epochs_localized_total", &[("level", l.name())])),
             per_worker: (0..workers)
                 .map(|w| {
                     let label = w.to_string();
@@ -260,7 +239,6 @@ impl GroundLive {
             fanout_delivered: reg.counter("adapt_fanout_delivered_total", &[]),
             fanout_shed: reg.counter("adapt_fanout_shed_total", &[]),
             pool_pending: reg.gauge("adapt_pool_pending", &[]),
-            alert_latency: reg.histogram("adapt_alert_latency_ms", &[]),
         }
     }
 
@@ -333,14 +311,25 @@ impl<'a> GroundService<'a> {
         // worker exists — every EpochLocalizer borrows these
         models.quantized_background.plan();
         let compiled_background = CompiledMlp::compile(&models.background);
+        let scheduler = EpochScheduler::new(
+            EpochLocalizer::new(
+                models,
+                &compiled_background,
+                config.reduced_iterations,
+                config.coarse_pixels,
+                config.pixelization,
+                recorder,
+            ),
+            config.deadline_ms,
+            config.safety_factor,
+            config.deterministic,
+        )
+        .with_live(live);
 
-        let pool: WorkStealingPool<GroundTask> = WorkStealingPool::new(config.workers);
+        let pool: WorkStealingPool<ScheduledEpoch> = WorkStealingPool::new(config.workers);
         let deadline = Duration::from_secs_f64(config.deadline_ms / 1e3);
-        let cost_model = Mutex::new(COST_PRIORS_MS);
         let alerts: Mutex<Vec<GroundAlert>> = Mutex::new(Vec::new());
-        let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
         let per_level: [AtomicU64; 4] = Default::default();
-        let epochs_dispatched = AtomicU64::new(0);
         let events_ingested = AtomicU64::new(0);
 
         // distribute lanes round-robin across the ingest shards
@@ -363,13 +352,10 @@ impl<'a> GroundService<'a> {
         let t_start = Instant::now();
         std::thread::scope(|scope| {
             let pool = &pool;
-            let cost_model = &cost_model;
+            let scheduler = &scheduler;
             let alerts = &alerts;
-            let latencies = &latencies;
             let per_level = &per_level;
-            let epochs_dispatched = &epochs_dispatched;
             let events_ingested = &events_ingested;
-            let compiled_background = &compiled_background;
             let glv = &glv;
 
             // ── ingest shards: advance lanes in tick_s stream-time slices ──
@@ -379,42 +365,17 @@ impl<'a> GroundService<'a> {
                     scope.spawn(move || {
                         let mut active = lanes.len();
                         let dispatch = |lane: &mut Lane, epoch: OpenEpoch| {
-                            recorder.add(Counter::EpochsOpened, 1);
-                            if recorder.is_enabled() {
-                                // mint the causal trace: the root span
-                                // opens when the trigger fires, before
-                                // the epoch enters the pool
-                                recorder.trace_span(&TraceSpanRecord {
-                                    trace_id: format!(
-                                        "s{}.e{}",
-                                        lane.stream_id, lane.next_epoch_index
-                                    ),
-                                    span: "trigger".into(),
-                                    parent: None,
-                                    t_s: epoch.t_trigger_s,
-                                    start_ms: 0.0,
-                                    duration_ms: 0.0,
-                                    queue_depth: pool.pending() as u64,
-                                    detail: format!(
-                                        "sigma={:.1} events={}",
-                                        epoch.significance_sigma,
-                                        epoch.events.len()
-                                    ),
-                                });
-                            }
-                            let task = GroundTask {
-                                stream_id: lane.stream_id,
-                                epoch_index: lane.next_epoch_index,
-                                localizer_seed: lane.localizer_seed,
+                            let job = scheduler.admit(
+                                lane.stream_id,
+                                lane.next_epoch_index,
+                                lane.localizer_seed,
                                 epoch,
-                                ready: Instant::now(),
-                            };
+                                pool.pending(),
+                            );
                             lane.next_epoch_index += 1;
-                            epochs_dispatched.fetch_add(1, Ordering::Relaxed);
-                            pool.push(lane.stream_id, task.ready + deadline, task);
+                            pool.push(lane.stream_id, job.ready + deadline, job);
                             recorder.queue_depth("pool", pool.pending() as u64);
                             if let Some(m) = glv {
-                                m.epochs_opened.inc();
                                 m.pool_pending.set(pool.pending() as f64);
                             }
                         };
@@ -476,152 +437,48 @@ impl<'a> GroundService<'a> {
             // ── pool workers: epochs → alerts, degrading per task ──
             for w in 0..config.workers {
                 scope.spawn(move || {
-                    let localizer = EpochLocalizer::new(
-                        models,
-                        compiled_background,
-                        config.reduced_iterations,
-                        config.coarse_pixels,
-                        config.pixelization,
-                        recorder,
-                    );
                     let mut ws = InferenceWorkspace::new();
-                    while let Some(task) = pool.pop(w) {
+                    while let Some(job) = pool.pop(w) {
                         // backlog normalized per worker: only global
                         // pressure beyond what the pool can absorb
                         // forbids the expensive rungs
                         let backlog = pool.pending() / config.workers;
-                        let waited_ms = task.ready.elapsed().as_secs_f64() * 1e3;
-                        let (chosen, reason) = if config.deterministic {
-                            (DegradationLevel::FullMl, "pinned")
-                        } else {
-                            let cost = *cost_model.lock().unwrap();
-                            let budget = (config.deadline_ms - waited_ms) * config.safety_factor;
-                            choose_level(&cost, budget, backlog)
-                        };
-                        let trace_id = format!("s{}.e{}", task.stream_id, task.epoch_index);
-                        if recorder.is_enabled() {
-                            recorder.trace_span(&TraceSpanRecord {
-                                trace_id: trace_id.clone(),
-                                span: "queue-wait".into(),
-                                parent: Some("trigger".into()),
-                                t_s: task.epoch.t_trigger_s,
-                                start_ms: 0.0,
-                                duration_ms: waited_ms,
-                                queue_depth: backlog as u64,
-                                detail: String::new(),
-                            });
-                            recorder.trace_span(&TraceSpanRecord {
-                                trace_id: trace_id.clone(),
-                                span: "schedule".into(),
-                                parent: Some("trigger".into()),
-                                t_s: task.epoch.t_trigger_s,
-                                start_ms: waited_ms,
-                                duration_ms: 0.0,
-                                queue_depth: backlog as u64,
-                                detail: format!(
-                                    "level={} reason={reason} worker={w}",
-                                    chosen.name()
-                                ),
-                            });
-                        }
-
-                        let mut rng = ChaCha8Rng::seed_from_u64(epoch_rng_seed(
-                            task.localizer_seed,
-                            task.epoch_index,
-                        ));
-                        let t_compute = Instant::now();
-                        let Some(out) =
-                            localizer.localize_epoch(&task.epoch, chosen, &mut rng, &mut ws)
+                        let depths = || (0, pool.pending());
+                        let Some(alert) =
+                            scheduler.localize(&job, backlog, Some(w), depths, &mut ws)
                         else {
                             continue;
                         };
-                        let compute = t_compute.elapsed();
-                        recorder.duration(Stage::Total, compute);
-                        if recorder.is_enabled() {
-                            recorder.trace_span(&TraceSpanRecord {
-                                trace_id: trace_id.clone(),
-                                span: "localize".into(),
-                                parent: Some("trigger".into()),
-                                t_s: task.epoch.t_trigger_s,
-                                start_ms: waited_ms,
-                                duration_ms: compute.as_secs_f64() * 1e3,
-                                queue_depth: pool.pending() as u64,
-                                detail: format!("level={} rings={}", out.level.name(), out.rings),
-                            });
-                        }
-                        let latency = task.ready.elapsed();
-                        recorder.duration(Stage::AlertLatency, latency);
-                        per_level[out.level.slot()].fetch_add(1, Ordering::Relaxed);
+                        per_level[alert.mode.slot()].fetch_add(1, Ordering::Relaxed);
                         if let Some(m) = glv {
-                            m.per_level[out.level.slot()].inc();
                             m.per_worker[w].inc();
-                            m.pool_pending.set(pool.pending() as f64);
-                            m.alert_latency.record(latency);
-                            if let Some(c) = m.alerts_for(task.stream_id) {
+                            m.pool_pending.set(alert.epoch_depth as f64);
+                            if let Some(c) = m.alerts_for(job.stream_id) {
                                 c.inc();
                             }
                         }
-                        {
-                            let mut cost = cost_model.lock().unwrap();
-                            let slot = out.level.slot();
-                            cost[slot] = (1.0 - adapt_onboard::COST_ALPHA) * cost[slot]
-                                + adapt_onboard::COST_ALPHA * compute.as_secs_f64() * 1e3;
-                        }
-
-                        let alert = GrbAlert {
-                            t_trigger_s: task.epoch.t_trigger_s,
-                            significance_sigma: task.epoch.significance_sigma,
-                            polar_deg: polar_angle_deg(out.direction),
-                            azimuth_deg: rad_to_deg(out.direction.azimuth()),
-                            containment_radius_deg: out.containment_radius_deg,
-                            containment_source: out.containment_source,
-                            mode: out.level,
-                            rings: out.rings,
-                            surviving_rings: out.surviving_rings,
-                            latency_ms: latency.as_secs_f64() * 1e3,
-                            deadline_ms: config.deadline_ms,
-                            ingest_depth: 0,
-                            epoch_depth: pool.pending(),
-                        };
-                        recorder.add(Counter::AlertsEmitted, 1);
-                        recorder.alert(&AlertRecord {
-                            t_s: alert.t_trigger_s,
-                            mode: out.level.name().to_string(),
-                            polar_deg: alert.polar_deg,
-                            azimuth_deg: alert.azimuth_deg,
-                            containment_radius_deg: alert.containment_radius_deg,
-                            containment_source: alert.containment_source.name().to_string(),
-                            latency_ms: alert.latency_ms,
-                            rings: alert.rings as u64,
-                            ingest_depth: 0,
-                            epoch_depth: alert.epoch_depth as u64,
-                        });
                         let ground = Arc::new(GroundAlert {
-                            stream_id: task.stream_id,
-                            epoch_index: task.epoch_index,
+                            stream_id: job.stream_id,
+                            epoch_index: job.index,
                             alert,
                         });
                         if let Some(pop) = fanout {
-                            let fan_start_ms = task.ready.elapsed().as_secs_f64() * 1e3;
+                            let fan_start_ms = job.ready.elapsed().as_secs_f64() * 1e3;
                             let out = pop.publish(&ground);
                             recorder.add(Counter::AlertsFannedOut, out.delivered);
                             if out.shed > 0 {
                                 recorder.add(Counter::FanoutShed, out.shed);
                             }
                             if recorder.is_enabled() {
-                                let fan_end_ms = task.ready.elapsed().as_secs_f64() * 1e3;
+                                let fan_end_ms = job.ready.elapsed().as_secs_f64() * 1e3;
                                 recorder.trace_span(&TraceSpanRecord {
-                                    trace_id: trace_id.clone(),
                                     span: "fanout".into(),
-                                    parent: Some("trigger".into()),
-                                    t_s: task.epoch.t_trigger_s,
-                                    start_ms: fan_start_ms,
                                     duration_ms: fan_end_ms - fan_start_ms,
-                                    queue_depth: pool.pending() as u64,
                                     detail: format!(
                                         "matched={} delivered={} shed={}",
                                         out.matched, out.delivered, out.shed
                                     ),
+                                    ..job.child_span(fan_start_ms, pool.pending())
                                 });
                             }
                             if let Some(m) = glv {
@@ -629,7 +486,6 @@ impl<'a> GroundService<'a> {
                                 m.fanout_shed.add(out.shed);
                             }
                         }
-                        latencies.lock().unwrap().push(ground.alert.latency_ms);
                         alerts.lock().unwrap().push((*ground).clone());
                     }
                 });
@@ -649,19 +505,20 @@ impl<'a> GroundService<'a> {
         let pool_stats = pool.stats();
         recorder.add(Counter::PoolSteals, pool_stats.stolen);
         let mut alerts = alerts.into_inner().unwrap();
+        let epoch_latencies_ms = alerts.iter().map(|a| a.alert.latency_ms).collect();
         alerts.sort_by_key(|a| (a.stream_id, a.epoch_index));
         GroundReport {
             alerts,
             streams: n_streams,
             events_ingested: events_ingested.load(Ordering::Relaxed),
             events_dropped: 0,
-            epochs_dispatched: epochs_dispatched.load(Ordering::Relaxed),
+            epochs_dispatched: pool_stats.pushed,
             per_level: per_level.map(|c| c.into_inner()),
             pool: pool_stats,
             wall_s,
             sim_duration_s,
             aggregate_realtime_factor: n_streams as f64 * sim_duration_s / wall_s.max(1e-9),
-            epoch_latencies_ms: latencies.into_inner().unwrap(),
+            epoch_latencies_ms,
         }
     }
 }

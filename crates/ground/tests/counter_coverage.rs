@@ -82,13 +82,13 @@ fn burst_scenario_emits_every_counter() {
         .with_recorder(&recorder)
         .run(StreamingSource::new(burst_stream(3.0, 1.0, 0.0), 0xA1E7));
 
-    // ── flight leg B: full ingest so the burst must trigger; the
-    // deadline sits below the full-ml cost *prior* (COST_PRIORS_MS[0] =
-    // 30 ms vs a 25 ms x 0.8 budget), so the very first epoch degrades
+    // ── flight leg B: full ingest so the burst must trigger; the 5 ms x
+    // 0.8 = 4 ms budget sits below the full-ml and reduced-ml cost
+    // *priors* (5.7 and 5.4 ms), so the very first epoch degrades
     // regardless of how fast this host localizes — a deterministic
     // transition, unlike anything measured ──
     let rc = RuntimeConfig {
-        deadline_ms: 25.0,
+        deadline_ms: 5.0,
         checkpoint_path: Some(ckpt.clone()),
         checkpoint_every_s: 2.0,
         seed: 0x0B0A_4D5E,

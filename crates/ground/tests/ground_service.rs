@@ -1,13 +1,15 @@
 //! End-to-end tests of the multi-tenant ground service: deterministic
 //! replay across pool geometries, bit-identity against the single-stream
-//! flight runtime, and alert fan-out through the service.
+//! flight runtime, forced degradation through the shared ladder, and
+//! alert fan-out through the service.
 
 use adapt_core::training::{TrainedModels, TrainingCampaignConfig};
 use adapt_ground::{
     GroundConfig, GroundService, StreamSpec, SubscriberFilter, SubscriberPopulation,
 };
-use adapt_onboard::runtime::{FlightRuntime, RuntimeConfig};
+use adapt_onboard::runtime::{DegradationLevel, FlightRuntime, RuntimeConfig};
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
+use adapt_telemetry::{Counter, FlightRecorder};
 use std::sync::OnceLock;
 
 fn models() -> &'static TrainedModels {
@@ -162,4 +164,44 @@ fn service_fans_alerts_out_to_matching_subscribers() {
     assert_eq!(population.stats().shed, 0);
     assert_eq!(population.drain(0).len(), report.alerts.len());
     assert!(population.drain(1).is_empty());
+}
+
+/// The pool runs the same degradation ladder as the flight runtime: an
+/// impossible deadline degrades every epoch to the classical floor, and
+/// the fall from the initial full-ml rung is a logged, counted
+/// transition — exactly as `impossible_deadline_degrades_to_classical`
+/// pins for the single-stream runtime.
+#[test]
+fn impossible_deadline_degrades_pool_to_classical() {
+    let recorder = FlightRecorder::new();
+    let spec = StreamSpec {
+        id: 0,
+        config: burst_stream(8.0, 4.0, 0.0),
+        source_seed: 0xA1EA,
+        localizer_seed: 0x0B0A_4D5E,
+    };
+    let config = GroundConfig {
+        workers: 1,
+        ingest_shards: 1,
+        deadline_ms: 0.01,
+        ..GroundConfig::default()
+    };
+    let report = GroundService::new(models(), config)
+        .with_recorder(&recorder)
+        .run(vec![spec], None);
+
+    assert!(!report.alerts.is_empty(), "the burst must alert");
+    for a in &report.alerts {
+        assert_eq!(a.alert.mode, DegradationLevel::Classical);
+    }
+    let transitions = recorder.degradation_records();
+    assert!(
+        !transitions.is_empty(),
+        "falling from the initial full-ml level is a recorded transition"
+    );
+    let t = &transitions[0];
+    assert_eq!(t.from, "full-ml");
+    assert_eq!(t.to, "classical");
+    assert_eq!(t.reason, "deadline-budget");
+    assert!(recorder.counter(Counter::DegradationTransitions) >= 1);
 }

@@ -140,6 +140,20 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     Some(quantile_sorted(&sorted, q))
 }
 
+/// The `q`-quantile (`q` clamped to `[0, 1]`) by ceiling rank: the
+/// smallest sample at or above rank `q · (n − 1)`, never interpolated.
+/// Latency reports use it so a percentile is always an observed value.
+/// Returns `None` on an empty slice.
+pub fn quantile_ceil_rank(values: &[f64], q: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).ceil() as usize;
+    Some(sorted[idx.min(sorted.len() - 1)])
+}
+
 /// As [`quantile`], for pre-sorted data (ascending) without reallocation.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
@@ -310,6 +324,16 @@ mod tests {
         assert_eq!(quantile(&v, 0.0), Some(1.0));
         assert_eq!(quantile(&v, 1.0), Some(5.0));
         assert_eq!(quantile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn quantile_ceil_rank_returns_observed_samples() {
+        let v = [5.0, 1.0, 9.0, 3.0];
+        // rank 0.5 · 3 = 1.5 rounds up to the third-smallest sample
+        assert_eq!(quantile_ceil_rank(&v, 0.5), Some(5.0));
+        assert_eq!(quantile_ceil_rank(&v, 0.0), Some(1.0));
+        assert_eq!(quantile_ceil_rank(&v, 2.0), Some(9.0));
+        assert_eq!(quantile_ceil_rank(&[], 0.5), None);
     }
 
     #[test]

@@ -16,9 +16,14 @@
 //!   capacity, drop policy, and depth accounting;
 //! - [`trigger::OnlineTrigger`] watches the event rate through sliding
 //!   windows and opens a localization epoch on a significant excess;
-//! - [`runtime::FlightRuntime`] schedules localization under a deadline,
-//!   degrading `full-ml → reduced-ml → coarse-skymap → classical` as the
-//!   budget or the backlog demands, and emits [`runtime::GrbAlert`]s;
+//! - [`scheduler::EpochScheduler`] is the one degradation ladder: it
+//!   schedules each epoch's localization under a deadline, degrading
+//!   `full-ml → reduced-ml → coarse-skymap → classical` as the budget or
+//!   the backlog demands, and emits [`runtime::GrbAlert`]s — the flight
+//!   runtime's worker and the ground service's pool workers both call it;
+//! - [`runtime::FlightRuntime`] wires source, trigger and scheduler into
+//!   the single-stream flight pipeline, with lossy ingest and truth
+//!   matching;
 //! - [`checkpoint::Checkpoint`] snapshots trigger + scheduler state so a
 //!   killed process resumes mid-burst without losing the epoch.
 //!
@@ -28,15 +33,16 @@
 pub mod checkpoint;
 pub mod queue;
 pub mod runtime;
+pub mod scheduler;
 pub mod trigger;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use queue::{BoundedQueue, DropPolicy, QueueStats};
 pub use runtime::{
-    choose_level, epoch_rng_seed, match_alerts_to_truth, ContainmentSource, DegradationLevel,
-    EpochLocalizer, EpochOutcome, FlightRunReport, FlightRuntime, GrbAlert, RuntimeConfig,
-    TruthMatchReport, COST_ALPHA, COST_PRIORS_MS,
+    match_alerts_to_truth, ContainmentSource, DegradationLevel, EpochLocalizer, EpochOutcome,
+    FlightRunReport, FlightRuntime, GrbAlert, RuntimeConfig, TruthMatchReport,
 };
+pub use scheduler::{epoch_rng_seed, EpochScheduler, ScheduledEpoch, COST_PRIORS_MS};
 pub use trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch};
 
 /// Background `particle_fluence` (per second) giving a flight-plausible

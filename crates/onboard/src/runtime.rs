@@ -14,45 +14,30 @@
 //! backpressures the trigger thread and in turn fills — and sheds from —
 //! the ingest queue, so overload is always visible in the drop counters.
 //!
-//! The worker owns the *degradation ladder*. For each epoch it estimates
-//! the compute cost of every level from an EWMA of past runs, subtracts
-//! the wall time the epoch already spent queued from the alert deadline,
-//! and picks the best level that still fits the remaining budget (with a
-//! safety factor), degrading further under epoch-queue pressure:
-//!
-//! 1. `full-ml` — float compiled background net, 5 loop iterations;
-//! 2. `reduced-ml` — INT8 plan, fewer loop iterations;
-//! 3. `coarse-skymap` — adaptive sky map on a small grid, mode + 90 %
-//!    credible radius;
-//! 4. `classical` — baseline approximate + refine, no ML.
-//!
-//! A level that fails to localize falls through to the next rung. The
-//! runtime *always* emits an alert for a triggered epoch with ≥ 1 ring —
-//! late beats never. Every transition is recorded; alerts carry the
-//! queue depths and the mode that produced them.
+//! The worker hands each epoch to the [`EpochScheduler`], which walks the
+//! degradation ladder under the deadline; the runtime keeps what is its
+//! own: lossy ingest, checkpoint/kill/resume, and truth matching.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 use crate::queue::{BoundedQueue, DropPolicy, QueueStats};
+use crate::scheduler::{EpochScheduler, ScheduledEpoch, COST_PRIORS_MS};
 use crate::trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch};
 use adapt_core::training::TrainedModels;
 use adapt_localize::{
     estimate_uncertainty, BaselineLocalizer, InferenceWorkspace, LocalizerConfig, MlLocalizer,
     MlPipelineConfig, SkyPixelization, SkyPosterior,
 };
-use adapt_math::angles::polar_angle_deg;
-use adapt_math::{rad_to_deg, vec3::UnitVec3};
+use adapt_math::stats::quantile_ceil_rank;
+use adapt_math::vec3::UnitVec3;
 use adapt_nn::CompiledMlp;
 use adapt_recon::Reconstructor;
 use adapt_sim::{StreamStats, StreamingSource};
 use adapt_telemetry::{
-    AlertRecord, Counter, CounterHandle, DegradationRecord, GaugeHandle, HistogramHandle,
-    LiveObserver, Recorder, Stage, TraceSpanRecord,
+    Counter, CounterHandle, DegradationRecord, GaugeHandle, LiveObserver, Recorder, Stage,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -90,7 +75,7 @@ impl DegradationLevel {
 
     /// Index into [`ALL`](Self::ALL).
     pub fn slot(self) -> usize {
-        Self::ALL.iter().position(|&l| l == self).unwrap()
+        self as usize
     }
 }
 
@@ -267,43 +252,9 @@ impl FlightRunReport {
     /// Latency percentile over the emitted alerts (`q` in `[0, 1]`);
     /// `None` with no alerts.
     pub fn latency_percentile_ms(&self, q: f64) -> Option<f64> {
-        if self.alerts.is_empty() {
-            return None;
-        }
-        let mut lat: Vec<f64> = self.alerts.iter().map(|a| a.latency_ms).collect();
-        lat.sort_by(f64::total_cmp);
-        let idx = ((lat.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).ceil() as usize;
-        Some(lat[idx.min(lat.len() - 1)])
+        let lat: Vec<f64> = self.alerts.iter().map(|a| a.latency_ms).collect();
+        quantile_ceil_rank(&lat, q)
     }
-}
-
-/// Initial (pre-observation) per-level cost priors (ms): optimistic so
-/// the first epoch attempts the best level the budget allows; the EWMA
-/// replaces them after one observation each.
-///
-/// The cheap rungs are the median per-rung p50s of four `epoch-deck`
-/// runs (`perfbench`, seed 1, 96 epochs of ~100–1000 rings, 2-core
-/// AVX2 Xeon) after the approximation stage moved onto the vectorized
-/// cone sweep: reduced-ml 5.4 ms (5.1–5.9), coarse-skymap 1.9 ms
-/// (1.8–2.1), classical 4.1 ms (3.6–4.3). Coarse-skymap is now the
-/// cheapest rung: classical and both ML rungs pay the approximation,
-/// which no longer dominates an epoch.
-///
-/// Full-ml's prior stays at 30 ms although the same runs measure it at
-/// 5.7 ms: `crates/ground/tests/counter_coverage.rs` (flight leg B)
-/// relies on a 25 ms deadline's 20 ms budget sitting below it, so the
-/// first epoch degrades deterministically on any host.
-pub const COST_PRIORS_MS: [f64; 4] = [30.0, 5.4, 1.9, 4.1];
-
-/// EWMA weight of a new cost observation.
-pub const COST_ALPHA: f64 = 0.4;
-
-/// The per-epoch localizer RNG seed: every consumer of an epoch stream
-/// (the single-stream runtime and the ground-segment pool) derives its
-/// RNG the same way, which is what makes multi-tenant localizations
-/// bit-identical to a single-stream run with the same seed.
-pub fn epoch_rng_seed(stream_seed: u64, epoch_index: u64) -> u64 {
-    stream_seed ^ epoch_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Alert ↔ ground-truth matching over one run: which injected onsets an
@@ -373,12 +324,6 @@ pub fn match_alerts_to_truth(
     report
 }
 
-struct EpochJob {
-    index: u64,
-    epoch: OpenEpoch,
-    ready: Instant,
-}
-
 /// What localizing one epoch through the degradation cascade produced.
 #[derive(Debug, Clone)]
 pub struct EpochOutcome {
@@ -401,8 +346,8 @@ pub struct EpochOutcome {
     pub fell_through: bool,
 }
 
-/// The epoch → localization engine shared by the single-stream
-/// [`FlightRuntime`] worker and the ground-segment localization pool:
+/// The epoch → localization engine behind the [`EpochScheduler`] (and
+/// so behind both the flight worker and the ground pool):
 /// reconstruction, the four-rung degradation cascade, and containment
 /// estimation. Holds the *shared* compiled plans by reference (build
 /// once, execute from N workers); callers bring a per-worker
@@ -415,7 +360,7 @@ pub struct EpochLocalizer<'a> {
     baseline: BaselineLocalizer,
     coarse_pixels: usize,
     pixelization: SkyPixelization,
-    recorder: &'a dyn Recorder,
+    pub(crate) recorder: &'a dyn Recorder,
 }
 
 impl<'a> EpochLocalizer<'a> {
@@ -550,31 +495,20 @@ impl<'a> EpochLocalizer<'a> {
     }
 }
 
-struct WorkerShared {
-    cost_model_ms: [f64; 4],
-    level: DegradationLevel,
-}
-
-/// Live-registry handles of the flight runtime, registered once per run.
-/// Metric names follow the watchdog conventions in
-/// `adapt_telemetry::health`: `*_queue_depth`/`*_queue_capacity` pairs
-/// drive queue-saturation, `adapt_alert_latency_ms` drives the
-/// deadline-burn rate, `adapt_alerts_emitted_total` the alert-rate
-/// budget.
+/// Live-registry handles of the flight runtime, registered once per run
+/// (the scheduler registers the ladder's own). Metric names follow the
+/// watchdog conventions in `adapt_telemetry::health`:
+/// `*_queue_depth`/`*_queue_capacity` pairs drive queue-saturation,
+/// `adapt_alerts_emitted_total` the alert-rate budget.
 struct FlightLive {
     events_ingested: CounterHandle,
     events_dropped: CounterHandle,
-    epochs_opened: CounterHandle,
     alerts_emitted: CounterHandle,
     false_alerts: CounterHandle,
     missed_bursts: CounterHandle,
-    degradations: CounterHandle,
-    per_level: [CounterHandle; 4],
     ingest_depth: GaugeHandle,
     epoch_depth: GaugeHandle,
-    level_gauge: GaugeHandle,
     scenario_components: GaugeHandle,
-    alert_latency: HistogramHandle,
 }
 
 impl FlightLive {
@@ -587,18 +521,12 @@ impl FlightLive {
         FlightLive {
             events_ingested: reg.counter("adapt_events_ingested_total", &[]),
             events_dropped: reg.counter("adapt_events_dropped_total", &[]),
-            epochs_opened: reg.counter("adapt_epochs_opened_total", &[]),
             alerts_emitted: reg.counter("adapt_alerts_emitted_total", &[("stream", "0")]),
             false_alerts: reg.counter("adapt_false_alerts_total", &[]),
             missed_bursts: reg.counter("adapt_missed_bursts_total", &[]),
-            degradations: reg.counter("adapt_degradation_transitions_total", &[]),
-            per_level: DegradationLevel::ALL
-                .map(|l| reg.counter("adapt_epochs_localized_total", &[("level", l.name())])),
             ingest_depth: reg.gauge("adapt_ingest_queue_depth", &[("queue", "ingest")]),
             epoch_depth: reg.gauge("adapt_epoch_queue_depth", &[("queue", "epoch")]),
-            level_gauge: reg.gauge("adapt_degradation_level", &[]),
             scenario_components: reg.gauge("adapt_scenario_components_active", &[]),
-            alert_latency: reg.histogram("adapt_alert_latency_ms", &[]),
         }
     }
 }
@@ -641,14 +569,8 @@ impl<'a> FlightRuntime<'a> {
     /// Run a fresh stream to completion (or to the simulated kill).
     pub fn run(&self, source: StreamingSource) -> FlightRunReport {
         let trigger = OnlineTrigger::new(self.config.trigger.clone());
-        self.run_inner(
-            source,
-            trigger,
-            COST_PRIORS_MS,
-            DegradationLevel::FullMl,
-            0,
-            Vec::new(),
-        )
+        let ladder = (&COST_PRIORS_MS[..], DegradationLevel::FullMl);
+        self.run_inner(source, trigger, ladder, 0, Vec::new())
     }
 
     /// Resume from a checkpoint: the source is deterministically skipped
@@ -656,26 +578,16 @@ impl<'a> FlightRuntime<'a> {
     /// epoch) and the scheduler's learned state pick up where they were.
     pub fn resume(&self, mut source: StreamingSource, ckpt: Checkpoint) -> FlightRunReport {
         source.skip_until(ckpt.t_s);
-        let mut cost = COST_PRIORS_MS;
-        for (slot, ms) in ckpt.cost_model_ms.iter().enumerate().take(cost.len()) {
-            cost[slot] = *ms;
-        }
-        self.run_inner(
-            source,
-            ckpt.trigger,
-            cost,
-            ckpt.level,
-            ckpt.epoch_index,
-            ckpt.alerts,
-        )
+        let ladder = (&ckpt.cost_model_ms[..], ckpt.level);
+        self.run_inner(source, ckpt.trigger, ladder, ckpt.epoch_index, ckpt.alerts)
     }
 
+    /// `ladder` seeds the scheduler's cost model and rung.
     fn run_inner(
         &self,
         source: StreamingSource,
         trigger: OnlineTrigger,
-        cost_model_ms: [f64; 4],
-        level: DegradationLevel,
+        ladder: (&[f64], DegradationLevel),
         epoch_index: u64,
         prior_alerts: Vec<GrbAlert>,
     ) -> FlightRunReport {
@@ -696,19 +608,28 @@ impl<'a> FlightRuntime<'a> {
         // compile both shared plans on this thread, before workers race
         models.quantized_background.plan();
         let compiled_background = CompiledMlp::compile(&models.background);
+        let scheduler = EpochScheduler::new(
+            EpochLocalizer::new(
+                models,
+                &compiled_background,
+                config.reduced_iterations,
+                config.coarse_pixels,
+                config.pixelization,
+                recorder,
+            ),
+            config.deadline_ms,
+            config.safety_factor,
+            config.deterministic,
+        )
+        .with_state(ladder.0, ladder.1)
+        .with_live(live);
 
         let ingest_q: BoundedQueue<adapt_sim::StreamedEvent> =
             BoundedQueue::new("ingest", config.ingest_capacity, DropPolicy::DropNewest);
-        let epoch_q: BoundedQueue<EpochJob> =
+        let epoch_q: BoundedQueue<ScheduledEpoch> =
             BoundedQueue::new("epoch", config.epoch_capacity, DropPolicy::Block);
         let killed = AtomicBool::new(false);
         let alerts: Mutex<Vec<GrbAlert>> = Mutex::new(prior_alerts);
-        let transitions: Mutex<Vec<DegradationRecord>> = Mutex::new(Vec::new());
-        let shared = Mutex::new(WorkerShared {
-            cost_model_ms,
-            level,
-        });
-        let epochs_dispatched = AtomicU64::new(0);
         let checkpoint_written = AtomicBool::new(false);
 
         let t_start = Instant::now();
@@ -761,52 +682,24 @@ impl<'a> FlightRuntime<'a> {
                     let Some(path) = &config.checkpoint_path else {
                         return;
                     };
-                    let ws = shared.lock().unwrap();
+                    let (cost_model_ms, level) = scheduler.snapshot();
                     let ck = Checkpoint {
                         schema: CHECKPOINT_SCHEMA,
                         t_s: trigger.last_t_s(),
                         trigger: trigger.clone(),
-                        cost_model_ms: ws.cost_model_ms.to_vec(),
-                        level: ws.level,
+                        cost_model_ms: cost_model_ms.to_vec(),
+                        level,
                         epoch_index: next_index,
                         alerts: alerts.lock().unwrap().clone(),
                     };
-                    drop(ws);
                     if ck.save(path).is_ok() {
                         recorder.add(Counter::CheckpointsWritten, 1);
                         checkpoint_written.store(true, Ordering::SeqCst);
                     }
                 };
                 let dispatch = |epoch: OpenEpoch, next_index: &mut u64| {
-                    recorder.add(Counter::EpochsOpened, 1);
-                    if let Some(m) = &flm {
-                        m.epochs_opened.inc();
-                    }
-                    if recorder.is_enabled() {
-                        // mint the causal trace: the root span opens when
-                        // the trigger fires, before any queueing
-                        recorder.trace_span(&TraceSpanRecord {
-                            trace_id: format!("s0.e{}", *next_index),
-                            span: "trigger".into(),
-                            parent: None,
-                            t_s: epoch.t_trigger_s,
-                            start_ms: 0.0,
-                            duration_ms: 0.0,
-                            queue_depth: ingest_q.len() as u64,
-                            detail: format!(
-                                "sigma={:.1} events={}",
-                                epoch.significance_sigma,
-                                epoch.events.len()
-                            ),
-                        });
-                    }
-                    let job = EpochJob {
-                        index: *next_index,
-                        epoch,
-                        ready: Instant::now(),
-                    };
+                    let job = scheduler.admit(0, *next_index, config.seed, epoch, ingest_q.len());
                     *next_index += 1;
-                    epochs_dispatched.fetch_add(1, Ordering::SeqCst);
                     epoch_q.push(job);
                     recorder.queue_depth("epoch", epoch_q.len() as u64);
                     if let Some(m) = &flm {
@@ -848,148 +741,19 @@ impl<'a> FlightRuntime<'a> {
 
             // ── worker: epochs → alerts, degrading to meet the deadline ──
             scope.spawn(|| {
-                let localizer = EpochLocalizer::new(
-                    models,
-                    &compiled_background,
-                    config.reduced_iterations,
-                    config.coarse_pixels,
-                    config.pixelization,
-                    recorder,
-                );
                 let mut ws = InferenceWorkspace::new();
-
                 while let Some(job) = epoch_q.pop() {
-                    let backlog = epoch_q.len();
-                    let waited_ms = job.ready.elapsed().as_secs_f64() * 1e3;
-                    let remaining_ms = config.deadline_ms - waited_ms;
-                    let (chosen, mut reason) = if config.deterministic {
-                        (DegradationLevel::FullMl, "pinned")
-                    } else {
-                        let ws_shared = shared.lock().unwrap();
-                        choose_level(
-                            &ws_shared.cost_model_ms,
-                            remaining_ms * config.safety_factor,
-                            backlog,
-                        )
-                    };
-
-                    let trace_id = format!("s0.e{}", job.index);
-                    if recorder.is_enabled() {
-                        recorder.trace_span(&TraceSpanRecord {
-                            trace_id: trace_id.clone(),
-                            span: "queue-wait".into(),
-                            parent: Some("trigger".into()),
-                            t_s: job.epoch.t_trigger_s,
-                            start_ms: 0.0,
-                            duration_ms: waited_ms,
-                            queue_depth: backlog as u64,
-                            detail: String::new(),
-                        });
-                        recorder.trace_span(&TraceSpanRecord {
-                            trace_id: trace_id.clone(),
-                            span: "schedule".into(),
-                            parent: Some("trigger".into()),
-                            t_s: job.epoch.t_trigger_s,
-                            start_ms: waited_ms,
-                            duration_ms: 0.0,
-                            queue_depth: backlog as u64,
-                            detail: format!("level={} reason={reason}", chosen.name()),
-                        });
-                    }
-
-                    let mut rng = ChaCha8Rng::seed_from_u64(epoch_rng_seed(config.seed, job.index));
-                    let t_compute = Instant::now();
-                    let Some(out) = localizer.localize_epoch(&job.epoch, chosen, &mut rng, &mut ws)
+                    let depths = || (ingest_q.len(), epoch_q.len());
+                    let Some(alert) =
+                        scheduler.localize(&job, epoch_q.len(), None, depths, &mut ws)
                     else {
                         continue;
                     };
-                    if out.fell_through {
-                        reason = "localization-failed";
-                    }
-                    let level = out.level;
-                    let compute = t_compute.elapsed();
-                    let compute_ms = compute.as_secs_f64() * 1e3;
-                    recorder.duration(Stage::Total, compute);
-                    if recorder.is_enabled() {
-                        recorder.trace_span(&TraceSpanRecord {
-                            trace_id: trace_id.clone(),
-                            span: "localize".into(),
-                            parent: Some("trigger".into()),
-                            t_s: job.epoch.t_trigger_s,
-                            start_ms: waited_ms,
-                            duration_ms: compute_ms,
-                            queue_depth: epoch_q.len() as u64,
-                            detail: format!("level={} rings={}", level.name(), out.rings),
-                        });
-                    }
-
-                    let latency = job.ready.elapsed();
-                    recorder.duration(Stage::AlertLatency, latency);
-                    let alert = GrbAlert {
-                        t_trigger_s: job.epoch.t_trigger_s,
-                        significance_sigma: job.epoch.significance_sigma,
-                        polar_deg: polar_angle_deg(out.direction),
-                        azimuth_deg: azimuth_deg(out.direction),
-                        containment_radius_deg: out.containment_radius_deg,
-                        containment_source: out.containment_source,
-                        mode: level,
-                        rings: out.rings,
-                        surviving_rings: out.surviving_rings,
-                        latency_ms: latency.as_secs_f64() * 1e3,
-                        deadline_ms: config.deadline_ms,
-                        ingest_depth: ingest_q.len(),
-                        epoch_depth: epoch_q.len(),
-                    };
-                    recorder.add(Counter::AlertsEmitted, 1);
                     if let Some(m) = &flm {
                         m.alerts_emitted.inc();
-                        m.per_level[level.slot()].inc();
-                        m.level_gauge.set(level.slot() as f64);
-                        m.alert_latency.record(latency);
-                        m.epoch_depth.set(epoch_q.len() as f64);
+                        m.epoch_depth.set(alert.epoch_depth as f64);
                     }
-                    recorder.alert(&AlertRecord {
-                        t_s: alert.t_trigger_s,
-                        mode: level.name().to_string(),
-                        polar_deg: alert.polar_deg,
-                        azimuth_deg: alert.azimuth_deg,
-                        containment_radius_deg: alert.containment_radius_deg,
-                        containment_source: alert.containment_source.name().to_string(),
-                        latency_ms: alert.latency_ms,
-                        rings: alert.rings as u64,
-                        ingest_depth: alert.ingest_depth as u64,
-                        epoch_depth: alert.epoch_depth as u64,
-                    });
                     alerts.lock().unwrap().push(alert);
-
-                    // learn the observed cost and record any transition
-                    let mut ws_shared = shared.lock().unwrap();
-                    let slot = level.slot();
-                    ws_shared.cost_model_ms[slot] = (1.0 - COST_ALPHA)
-                        * ws_shared.cost_model_ms[slot]
-                        + COST_ALPHA * compute_ms;
-                    let previous = ws_shared.level;
-                    ws_shared.level = level;
-                    drop(ws_shared);
-                    if previous != level {
-                        let reason = if level.slot() < previous.slot() {
-                            "recovered"
-                        } else {
-                            reason
-                        };
-                        let rec = DegradationRecord {
-                            t_s: job.epoch.t_trigger_s,
-                            from: previous.name().to_string(),
-                            to: level.name().to_string(),
-                            reason: reason.to_string(),
-                        };
-                        recorder.add(Counter::DegradationTransitions, 1);
-                        if let Some(m) = &flm {
-                            m.degradations.inc();
-                        }
-                        recorder.degradation(&rec);
-                        transitions.lock().unwrap().push(rec);
-                    }
                 }
             });
 
@@ -998,6 +762,7 @@ impl<'a> FlightRuntime<'a> {
 
         let wall_s = t_start.elapsed().as_secs_f64();
         let ingest_stats = ingest_q.stats();
+        let epoch_stats = epoch_q.stats();
         let alerts = alerts.into_inner().unwrap();
         if !config.truth_onsets_s.is_empty() {
             let truth =
@@ -1011,10 +776,12 @@ impl<'a> FlightRuntime<'a> {
         }
         FlightRunReport {
             alerts,
-            transitions: transitions.into_inner().unwrap(),
+            transitions: scheduler.into_transitions(),
             ingest_stats,
-            epoch_stats: epoch_q.stats(),
-            epochs_dispatched: epochs_dispatched.load(Ordering::SeqCst),
+            epoch_stats,
+            // the trigger closes the epoch queue only after its last
+            // push, so every dispatched epoch was accepted
+            epochs_dispatched: epoch_stats.pushed,
             stream_stats,
             wall_s,
             sustained_events_per_s: ingest_stats.pushed as f64 / wall_s.max(1e-9),
@@ -1024,40 +791,10 @@ impl<'a> FlightRuntime<'a> {
     }
 }
 
-/// Azimuth of a direction in degrees.
-fn azimuth_deg(dir: UnitVec3) -> f64 {
-    rad_to_deg(dir.azimuth())
-}
-
-/// Pick the best ladder level whose cost estimate fits the budget, under
-/// epoch-backlog pressure gates. Returns the level and the reason a
-/// better level was rejected (`"nominal"` when none was). Shared with
-/// the ground-segment pool scheduler, which feeds it a per-worker
-/// normalized backlog.
-pub fn choose_level(
-    cost_model_ms: &[f64; 4],
-    budget_ms: f64,
-    backlog: usize,
-) -> (DegradationLevel, &'static str) {
-    let mut reason = "nominal";
-    for level in DegradationLevel::ALL {
-        let slot = level.slot();
-        // deeper backlog forbids the more expensive rungs outright
-        if backlog > slot {
-            reason = "queue-pressure";
-            continue;
-        }
-        if cost_model_ms[slot] <= budget_ms {
-            return (level, reason);
-        }
-        reason = "deadline-budget";
-    }
-    (DegradationLevel::Classical, reason)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::choose_level;
 
     #[test]
     fn containment_source_defaults_to_heuristic_on_old_alerts() {
