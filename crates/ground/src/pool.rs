@@ -115,16 +115,18 @@ impl<T> WorkStealingPool<T> {
     pub fn push(&self, hint: usize, deadline: Instant, task: T) {
         let seq = self.seq.fetch_add(1, AtOrd::Relaxed);
         let shard = hint % self.shards.len();
+        // count the task before a worker can see it: a take that beat
+        // the count would underflow `pending`
+        let mut gate = self.gate.lock().unwrap();
+        gate.pending += 1;
+        let pending = gate.pending;
+        drop(gate);
         self.shards[shard].lock().unwrap().push(Prioritized {
             deadline,
             seq,
             task,
         });
         self.pushed.fetch_add(1, AtOrd::Relaxed);
-        let mut gate = self.gate.lock().unwrap();
-        gate.pending += 1;
-        let pending = gate.pending;
-        drop(gate);
         self.max_pending.fetch_max(pending, AtOrd::Relaxed);
         self.available.notify_one();
     }

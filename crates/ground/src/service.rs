@@ -48,9 +48,7 @@ use adapt_onboard::{
     ScheduledEpoch,
 };
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
-use adapt_telemetry::{
-    Counter, CounterHandle, GaugeHandle, LiveObserver, Recorder, TraceSpanRecord,
-};
+use adapt_telemetry::{Counter, CounterHandle, FanOut, LiveObserver, Recorder, TraceSpanRecord};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -198,58 +196,6 @@ struct Lane {
     done: bool,
 }
 
-/// Live-registry handles for the ground service, registered once per
-/// run so the hot paths touch only atomics (the scheduler registers the
-/// ladder's own). Per-stream alert counters and per-worker epoch counters
-/// give `adapt top` its breakdown tables; `adapt_pool_pending` arms the
-/// watchdog's pool-stall check.
-struct GroundLive {
-    events_ingested: CounterHandle,
-    alerts_by_stream: Vec<(usize, CounterHandle)>,
-    per_worker: Vec<CounterHandle>,
-    fanout_delivered: CounterHandle,
-    fanout_shed: CounterHandle,
-    pool_pending: GaugeHandle,
-}
-
-impl GroundLive {
-    fn register(observer: &LiveObserver, stream_ids: &[usize], workers: usize) -> Self {
-        let reg = observer.registry();
-        reg.gauge("adapt_streams_served", &[])
-            .set(stream_ids.len() as f64);
-        reg.gauge("adapt_pool_workers", &[]).set(workers as f64);
-        GroundLive {
-            events_ingested: reg.counter("adapt_events_ingested_total", &[]),
-            alerts_by_stream: stream_ids
-                .iter()
-                .map(|&id| {
-                    let label = id.to_string();
-                    (
-                        id,
-                        reg.counter("adapt_alerts_emitted_total", &[("stream", &label)]),
-                    )
-                })
-                .collect(),
-            per_worker: (0..workers)
-                .map(|w| {
-                    let label = w.to_string();
-                    reg.counter("adapt_worker_epochs_total", &[("worker", &label)])
-                })
-                .collect(),
-            fanout_delivered: reg.counter("adapt_fanout_delivered_total", &[]),
-            fanout_shed: reg.counter("adapt_fanout_shed_total", &[]),
-            pool_pending: reg.gauge("adapt_pool_pending", &[]),
-        }
-    }
-
-    fn alerts_for(&self, stream_id: usize) -> Option<&CounterHandle> {
-        self.alerts_by_stream
-            .iter()
-            .find(|(id, _)| *id == stream_id)
-            .map(|(_, h)| h)
-    }
-}
-
 /// The multi-tenant ground service. Borrows the trained models once;
 /// every pool worker executes the same compiled plans.
 pub struct GroundService<'a> {
@@ -276,8 +222,9 @@ impl<'a> GroundService<'a> {
         self
     }
 
-    /// Attach a live observer: registers the ground metric set and ticks
-    /// periodic snapshots from the ingest shards' stream clocks.
+    /// Attach a live observer: every recorder fact is projected into its
+    /// registry, plus the pool size and per-worker epoch counts, and the
+    /// ingest shards' stream clocks tick its periodic snapshots.
     pub fn with_live(mut self, observer: &'a LiveObserver) -> Self {
         self.live = Some(observer);
         self
@@ -291,7 +238,9 @@ impl<'a> GroundService<'a> {
         fanout: Option<&SubscriberPopulation>,
     ) -> GroundReport {
         let config = &self.config;
-        let recorder = self.recorder;
+        let live = self.live;
+        let fan_out = FanOut::new(self.recorder, live);
+        let recorder = fan_out.recorder();
         let models = self.models;
         assert!(!specs.is_empty(), "the service needs at least one stream");
         assert!(config.workers > 0 && config.ingest_shards > 0);
@@ -301,10 +250,15 @@ impl<'a> GroundService<'a> {
             .map(|s| s.config.duration_s)
             .fold(0.0, f64::max);
         recorder.add(Counter::StreamsServed, n_streams as u64);
-        let live = self.live;
-        let glv = live.map(|obs| {
-            let ids: Vec<usize> = specs.iter().map(|s| s.id).collect();
-            GroundLive::register(obs, &ids, config.workers)
+        // the one ground-only fact without a Recorder twin: which worker
+        // localized each epoch (`adapt top`'s by-worker table)
+        let per_worker: Vec<CounterHandle> = live.map_or_else(Vec::new, |obs| {
+            let reg = obs.registry();
+            reg.gauge("adapt_pool_workers", &[])
+                .set(config.workers as f64);
+            (0..config.workers)
+                .map(|w| reg.counter("adapt_worker_epochs_total", &[("worker", &w.to_string())]))
+                .collect()
         });
 
         // the shared plan cache: compile both plans once, before any
@@ -323,8 +277,7 @@ impl<'a> GroundService<'a> {
             config.deadline_ms,
             config.safety_factor,
             config.deterministic,
-        )
-        .with_live(live);
+        );
 
         let pool: WorkStealingPool<ScheduledEpoch> = WorkStealingPool::new(config.workers);
         let deadline = Duration::from_secs_f64(config.deadline_ms / 1e3);
@@ -356,7 +309,7 @@ impl<'a> GroundService<'a> {
             let alerts = &alerts;
             let per_level = &per_level;
             let events_ingested = &events_ingested;
-            let glv = &glv;
+            let per_worker = &per_worker;
 
             // ── ingest shards: advance lanes in tick_s stream-time slices ──
             let shard_handles: Vec<_> = shards
@@ -375,9 +328,6 @@ impl<'a> GroundService<'a> {
                             lane.next_epoch_index += 1;
                             pool.push(lane.stream_id, job.ready + deadline, job);
                             recorder.queue_depth("pool", pool.pending() as u64);
-                            if let Some(m) = glv {
-                                m.pool_pending.set(pool.pending() as f64);
-                            }
                         };
                         while active > 0 {
                             for lane in &mut lanes {
@@ -419,9 +369,6 @@ impl<'a> GroundService<'a> {
                                     recorder.add(Counter::EventsIngested, slice_events);
                                 }
                                 if let Some(obs) = live {
-                                    if let Some(m) = glv {
-                                        m.events_ingested.add(slice_events);
-                                    }
                                     // shard clocks race ahead of each
                                     // other; the observer's CAS election
                                     // makes concurrent ticks cheap
@@ -450,12 +397,11 @@ impl<'a> GroundService<'a> {
                             continue;
                         };
                         per_level[alert.mode.slot()].fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = glv {
-                            m.per_worker[w].inc();
-                            m.pool_pending.set(alert.epoch_depth as f64);
-                            if let Some(c) = m.alerts_for(job.stream_id) {
-                                c.inc();
-                            }
+                        // refresh the pool gauge the push set, or the
+                        // watchdog would see stale pending work
+                        recorder.queue_depth("pool", alert.epoch_depth as u64);
+                        if let Some(c) = per_worker.get(w) {
+                            c.inc();
                         }
                         let ground = Arc::new(GroundAlert {
                             stream_id: job.stream_id,
@@ -480,10 +426,6 @@ impl<'a> GroundService<'a> {
                                     ),
                                     ..job.child_span(fan_start_ms, pool.pending())
                                 });
-                            }
-                            if let Some(m) = glv {
-                                m.fanout_delivered.add(out.delivered);
-                                m.fanout_shed.add(out.shed);
                             }
                         }
                         alerts.lock().unwrap().push((*ground).clone());

@@ -1,7 +1,7 @@
 //! End-to-end tests of the multi-tenant ground service: deterministic
 //! replay across pool geometries, bit-identity against the single-stream
 //! flight runtime, forced degradation through the shared ladder, and
-//! alert fan-out through the service.
+//! alert fan-out through the service, watched live.
 
 use adapt_core::training::{TrainedModels, TrainingCampaignConfig};
 use adapt_ground::{
@@ -9,7 +9,7 @@ use adapt_ground::{
 };
 use adapt_onboard::runtime::{DegradationLevel, FlightRuntime, RuntimeConfig};
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
-use adapt_telemetry::{Counter, FlightRecorder};
+use adapt_telemetry::{Counter, FlightRecorder, LiveObserver, SloConfig};
 use std::sync::OnceLock;
 
 fn models() -> &'static TrainedModels {
@@ -152,7 +152,11 @@ fn service_fans_alerts_out_to_matching_subscribers() {
         ..all_sky.clone()
     };
     let population = SubscriberPopulation::new(vec![all_sky, nobody], 64);
+    let recorder = FlightRecorder::new();
+    let live = LiveObserver::new(1.0, SloConfig::default());
     let report = GroundService::new(models(), deterministic_config(2, 2))
+        .with_recorder(&recorder)
+        .with_live(&live)
         .run(small_fleet(), Some(&population));
 
     assert!(!report.alerts.is_empty());
@@ -164,6 +168,51 @@ fn service_fans_alerts_out_to_matching_subscribers() {
     assert_eq!(population.stats().shed, 0);
     assert_eq!(population.drain(0).len(), report.alerts.len());
     assert!(population.drain(1).is_empty());
+
+    let mut streams: Vec<usize> = report.alerts.iter().map(|a| a.stream_id).collect();
+    streams.dedup(); // alerts are sorted by stream
+    assert_live_matches_recorder(&recorder, &live, report.alerts.len(), streams.len());
+    let fanned = live
+        .registry()
+        .snapshot()
+        .counter_total("adapt_alerts_fanned_out_total");
+    assert_eq!(fanned, report.alerts.len() as f64);
+}
+
+/// The live registry is a projection of the recorder: every counter
+/// agrees under its derived name, alerts are counted once per alerting
+/// stream, and the alert-latency histogram saw every alert.
+fn assert_live_matches_recorder(
+    recorder: &FlightRecorder,
+    live: &LiveObserver,
+    alerts: usize,
+    alerting_streams: usize,
+) {
+    let snap = live.registry().snapshot();
+    for c in Counter::ALL {
+        let name = format!("adapt_{}_total", c.name());
+        assert_eq!(
+            snap.counter_total(&name),
+            recorder.counter(c) as f64,
+            "{name} disagrees with the recorder"
+        );
+    }
+    let per_stream: Vec<_> = snap
+        .samples
+        .iter()
+        .filter(|s| s.name == "adapt_alerts_emitted_total")
+        .collect();
+    assert_eq!(per_stream.len(), alerting_streams, "one series per stream");
+    assert!(per_stream
+        .iter()
+        .all(|s| s.labels.iter().any(|(k, _)| k == "stream")));
+    let emitted: f64 = per_stream.iter().map(|s| s.value).sum();
+    assert_eq!(emitted, alerts as f64);
+    let latency = snap
+        .find("adapt_alert_latency_ms")
+        .and_then(|s| s.hist.as_ref())
+        .expect("alert latency histogram");
+    assert_eq!(latency.count, alerts as u64);
 }
 
 /// The pool runs the same degradation ladder as the flight runtime: an

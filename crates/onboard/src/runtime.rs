@@ -32,9 +32,7 @@ use adapt_math::vec3::UnitVec3;
 use adapt_nn::CompiledMlp;
 use adapt_recon::Reconstructor;
 use adapt_sim::{StreamStats, StreamingSource};
-use adapt_telemetry::{
-    Counter, CounterHandle, DegradationRecord, GaugeHandle, LiveObserver, Recorder, Stage,
-};
+use adapt_telemetry::{Counter, DegradationRecord, FanOut, LiveObserver, Recorder, Stage};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -495,42 +493,6 @@ impl<'a> EpochLocalizer<'a> {
     }
 }
 
-/// Live-registry handles of the flight runtime, registered once per run
-/// (the scheduler registers the ladder's own). Metric names follow the
-/// watchdog conventions in `adapt_telemetry::health`:
-/// `*_queue_depth`/`*_queue_capacity` pairs drive queue-saturation,
-/// `adapt_alerts_emitted_total` the alert-rate budget.
-struct FlightLive {
-    events_ingested: CounterHandle,
-    events_dropped: CounterHandle,
-    alerts_emitted: CounterHandle,
-    false_alerts: CounterHandle,
-    missed_bursts: CounterHandle,
-    ingest_depth: GaugeHandle,
-    epoch_depth: GaugeHandle,
-    scenario_components: GaugeHandle,
-}
-
-impl FlightLive {
-    fn register(observer: &LiveObserver, config: &RuntimeConfig) -> Self {
-        let reg = observer.registry();
-        reg.gauge("adapt_ingest_queue_capacity", &[("queue", "ingest")])
-            .set(config.ingest_capacity as f64);
-        reg.gauge("adapt_epoch_queue_capacity", &[("queue", "epoch")])
-            .set(config.epoch_capacity as f64);
-        FlightLive {
-            events_ingested: reg.counter("adapt_events_ingested_total", &[]),
-            events_dropped: reg.counter("adapt_events_dropped_total", &[]),
-            alerts_emitted: reg.counter("adapt_alerts_emitted_total", &[("stream", "0")]),
-            false_alerts: reg.counter("adapt_false_alerts_total", &[]),
-            missed_bursts: reg.counter("adapt_missed_bursts_total", &[]),
-            ingest_depth: reg.gauge("adapt_ingest_queue_depth", &[("queue", "ingest")]),
-            epoch_depth: reg.gauge("adapt_epoch_queue_depth", &[("queue", "epoch")]),
-            scenario_components: reg.gauge("adapt_scenario_components_active", &[]),
-        }
-    }
-}
-
 /// The streaming flight runtime. Borrows the trained models; construct
 /// once, run one stream per call.
 pub struct FlightRuntime<'a> {
@@ -558,9 +520,9 @@ impl<'a> FlightRuntime<'a> {
         self
     }
 
-    /// Attach a live observer: the runtime registers its counters,
-    /// queue gauges, and latency histogram into the observer's registry
-    /// and drives the periodic snapshot clock from stream time.
+    /// Attach a live observer: every recorder fact is projected into its
+    /// registry, the queue capacities are set on it once, and stream
+    /// time drives its periodic snapshot clock.
     pub fn with_live(mut self, live: &'a LiveObserver) -> Self {
         self.live = Some(live);
         self
@@ -592,16 +554,20 @@ impl<'a> FlightRuntime<'a> {
         prior_alerts: Vec<GrbAlert>,
     ) -> FlightRunReport {
         let config = &self.config;
-        let recorder = self.recorder;
         let models = self.models;
         let live = self.live;
-        let flm = live.map(|obs| FlightLive::register(obs, config));
+        let fan_out = FanOut::new(self.recorder, live);
+        let recorder = fan_out.recorder();
+        if let Some(obs) = live {
+            let reg = obs.registry();
+            reg.gauge("adapt_ingest_queue_capacity", &[("queue", "ingest")])
+                .set(config.ingest_capacity as f64);
+            reg.gauge("adapt_epoch_queue_capacity", &[("queue", "epoch")])
+                .set(config.epoch_capacity as f64);
+        }
         // surface the hostile-sky injection set: how many scenario
         // components shape this stream (0 on a quiet sky)
         let n_components = source.scenario().components.len();
-        if let Some(m) = &flm {
-            m.scenario_components.set(n_components as f64);
-        }
         if n_components > 0 {
             recorder.add(Counter::ScenarioComponentsActive, n_components as u64);
         }
@@ -621,8 +587,7 @@ impl<'a> FlightRuntime<'a> {
             config.safety_factor,
             config.deterministic,
         )
-        .with_state(ladder.0, ladder.1)
-        .with_live(live);
+        .with_state(ladder.0, ladder.1);
 
         let ingest_q: BoundedQueue<adapt_sim::StreamedEvent> =
             BoundedQueue::new("ingest", config.ingest_capacity, DropPolicy::DropNewest);
@@ -648,20 +613,11 @@ impl<'a> FlightRuntime<'a> {
                     let t_s = se.t_s;
                     if ingest_q.push(se) {
                         recorder.add(Counter::EventsIngested, 1);
-                        if let Some(m) = &flm {
-                            m.events_ingested.inc();
-                        }
                     } else {
                         recorder.add(Counter::EventsDropped, 1);
-                        if let Some(m) = &flm {
-                            m.events_dropped.inc();
-                        }
                     }
                     recorder.queue_depth("ingest", ingest_q.len() as u64);
                     if let Some(obs) = live {
-                        if let Some(m) = &flm {
-                            m.ingest_depth.set(ingest_q.len() as f64);
-                        }
                         obs.tick(t_s);
                     }
                 }
@@ -702,9 +658,6 @@ impl<'a> FlightRuntime<'a> {
                     *next_index += 1;
                     epoch_q.push(job);
                     recorder.queue_depth("epoch", epoch_q.len() as u64);
-                    if let Some(m) = &flm {
-                        m.epoch_depth.set(epoch_q.len() as f64);
-                    }
                 };
                 let onsets = &config.truth_onsets_s;
                 let near_truth = |t: f64| {
@@ -749,10 +702,7 @@ impl<'a> FlightRuntime<'a> {
                     else {
                         continue;
                     };
-                    if let Some(m) = &flm {
-                        m.alerts_emitted.inc();
-                        m.epoch_depth.set(alert.epoch_depth as f64);
-                    }
+                    recorder.queue_depth("epoch", alert.epoch_depth as u64);
                     alerts.lock().unwrap().push(alert);
                 }
             });
@@ -769,10 +719,6 @@ impl<'a> FlightRuntime<'a> {
                 match_alerts_to_truth(&alerts, &config.truth_onsets_s, config.truth_window_s);
             recorder.add(Counter::FalseAlerts, truth.false_alerts as u64);
             recorder.add(Counter::MissedBursts, truth.missed as u64);
-            if let Some(m) = &flm {
-                m.false_alerts.add(truth.false_alerts as u64);
-                m.missed_bursts.add(truth.missed as u64);
-            }
         }
         FlightRunReport {
             alerts,

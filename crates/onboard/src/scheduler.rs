@@ -23,10 +23,7 @@ use crate::trigger::OpenEpoch;
 use adapt_localize::InferenceWorkspace;
 use adapt_math::angles::polar_angle_deg;
 use adapt_math::rad_to_deg;
-use adapt_telemetry::{
-    AlertRecord, Counter, CounterHandle, DegradationRecord, GaugeHandle, HistogramHandle,
-    LiveObserver, Recorder, Stage, TraceSpanRecord,
-};
+use adapt_telemetry::{AlertRecord, Counter, DegradationRecord, Recorder, Stage, TraceSpanRecord};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
@@ -154,15 +151,6 @@ impl Ladder {
     }
 }
 
-/// Live-registry handles of the ladder, the same for flight and ground.
-struct LadderLive {
-    epochs_opened: CounterHandle,
-    per_level: [CounterHandle; 4],
-    degradations: CounterHandle,
-    level_gauge: GaugeHandle,
-    alert_latency: HistogramHandle,
-}
-
 /// The degradation-ladder scheduler. Immutable apart from one mutex over
 /// its learned state, so any number of workers share it by reference.
 pub struct EpochScheduler<'a> {
@@ -172,7 +160,6 @@ pub struct EpochScheduler<'a> {
     safety_factor: f64,
     deterministic: bool,
     ladder: Mutex<Ladder>,
-    live: Option<LadderLive>,
 }
 
 impl<'a> EpochScheduler<'a> {
@@ -196,7 +183,6 @@ impl<'a> EpochScheduler<'a> {
                 level: DegradationLevel::FullMl,
                 transitions: Vec::new(),
             }),
-            live: None,
         }
     }
 
@@ -208,22 +194,6 @@ impl<'a> EpochScheduler<'a> {
             *slot = ms;
         }
         ladder.level = level;
-        self
-    }
-
-    /// Register the ladder's live metrics in the observer's registry.
-    pub fn with_live(mut self, observer: Option<&LiveObserver>) -> Self {
-        self.live = observer.map(|obs| {
-            let reg = obs.registry();
-            LadderLive {
-                epochs_opened: reg.counter("adapt_epochs_opened_total", &[]),
-                per_level: DegradationLevel::ALL
-                    .map(|l| reg.counter("adapt_epochs_localized_total", &[("level", l.name())])),
-                degradations: reg.counter("adapt_degradation_transitions_total", &[]),
-                level_gauge: reg.gauge("adapt_degradation_level", &[]),
-                alert_latency: reg.histogram("adapt_alert_latency_ms", &[]),
-            }
-        });
         self
     }
 
@@ -257,9 +227,6 @@ impl<'a> EpochScheduler<'a> {
             ready: Instant::now(),
         };
         self.recorder.add(Counter::EpochsOpened, 1);
-        if let Some(m) = &self.live {
-            m.epochs_opened.inc();
-        }
         if self.recorder.is_enabled() {
             let (sigma, events) = (job.epoch.significance_sigma, job.epoch.events.len());
             self.recorder.trace_span(&TraceSpanRecord {
@@ -343,8 +310,8 @@ impl<'a> EpochScheduler<'a> {
             ingest_depth,
             epoch_depth,
         };
-        recorder.add(Counter::AlertsEmitted, 1);
         recorder.alert(&AlertRecord {
+            stream_id: job.stream_id as u64,
             t_s,
             mode: out.level.name().to_string(),
             polar_deg: alert.polar_deg,
@@ -356,18 +323,9 @@ impl<'a> EpochScheduler<'a> {
             ingest_depth: ingest_depth as u64,
             epoch_depth: epoch_depth as u64,
         });
-        if let Some(m) = &self.live {
-            m.per_level[out.level.slot()].inc();
-            m.level_gauge.set(out.level.slot() as f64);
-            m.alert_latency.record(latency);
-        }
 
         let mut ladder = self.ladder.lock().expect(POISONED);
         if let Some(rec) = ladder.observe(t_s, &out, reason, compute_ms) {
-            recorder.add(Counter::DegradationTransitions, 1);
-            if let Some(m) = &self.live {
-                m.degradations.inc();
-            }
             recorder.degradation(rec);
         }
         Some(alert)

@@ -8,6 +8,7 @@ use adapt_math::{angular_separation, deg_to_rad, UnitVec3};
 use adapt_onboard::runtime::{DegradationLevel, FlightRuntime, RuntimeConfig};
 use adapt_onboard::Checkpoint;
 use adapt_sim::{FlightProfile, GrbConfig, PerturbationConfig, StreamConfig, StreamingSource};
+use adapt_telemetry::{Counter, FlightRecorder, LiveObserver, SloConfig};
 use std::sync::OnceLock;
 
 fn models() -> &'static TrainedModels {
@@ -130,7 +131,11 @@ fn impossible_deadline_degrades_to_classical() {
         deadline_ms: 0.01,
         ..RuntimeConfig::default()
     };
-    let runtime = FlightRuntime::new(models(), rc);
+    let recorder = FlightRecorder::new();
+    let live = LiveObserver::new(1.0, SloConfig::default());
+    let runtime = FlightRuntime::new(models(), rc)
+        .with_recorder(&recorder)
+        .with_live(&live);
     let report = runtime.run(source);
 
     assert_eq!(report.alerts.len(), 1);
@@ -143,6 +148,43 @@ fn impossible_deadline_degrades_to_classical() {
     assert_eq!(t.from, "full-ml");
     assert_eq!(t.to, "classical");
     assert_eq!(t.reason, "deadline-budget");
+    assert_live_matches_recorder(&recorder, &live, report.alerts.len(), 1);
+}
+
+/// The live registry is a projection of the recorder: every counter
+/// agrees under its derived name, alerts are counted once per alerting
+/// stream, and the alert-latency histogram saw every alert.
+fn assert_live_matches_recorder(
+    recorder: &FlightRecorder,
+    live: &LiveObserver,
+    alerts: usize,
+    alerting_streams: usize,
+) {
+    let snap = live.registry().snapshot();
+    for c in Counter::ALL {
+        let name = format!("adapt_{}_total", c.name());
+        assert_eq!(
+            snap.counter_total(&name),
+            recorder.counter(c) as f64,
+            "{name} disagrees with the recorder"
+        );
+    }
+    let per_stream: Vec<_> = snap
+        .samples
+        .iter()
+        .filter(|s| s.name == "adapt_alerts_emitted_total")
+        .collect();
+    assert_eq!(per_stream.len(), alerting_streams, "one series per stream");
+    assert!(per_stream
+        .iter()
+        .all(|s| s.labels.iter().any(|(k, _)| k == "stream")));
+    let emitted: f64 = per_stream.iter().map(|s| s.value).sum();
+    assert_eq!(emitted, alerts as f64);
+    let latency = snap
+        .find("adapt_alert_latency_ms")
+        .and_then(|s| s.hist.as_ref())
+        .expect("alert latency histogram");
+    assert_eq!(latency.count, alerts as u64);
 }
 
 /// Satellite 3: with no deadline pressure the streaming runtime's

@@ -6,14 +6,17 @@
 //! it works unchanged for the flight runtime and the ground service —
 //! latency histograms (`*latency*`) drive the deadline-budget burn rate,
 //! paired `*_depth`/`*_capacity` gauges drive queue-saturation, the
-//! pending-work gauge plus a frozen completion counter drives
-//! pool-stall detection (no epoch completed in k×p99), alert counters
-//! drive the rolling alert-rate budget, and the drift counters carry the
-//! drift verdict. Checks whose inputs are absent simply don't report —
+//! pool's `adapt_pool_queue_depth` gauge plus a frozen completion counter
+//! drives pool-stall detection (no epoch completed in k×p99), alert
+//! counters drive the rolling alert-rate budget, and the drift counters
+//! carry the drift verdict. Checks whose inputs are absent simply don't report —
 //! a flight capture without a pool never emits a pool verdict.
 
 use crate::live::{MetricKind, RegistrySnapshot};
 use std::time::Instant;
+
+/// The live projection of `queue_depth("pool", ..)`: the pending work.
+const POOL_DEPTH_GAUGE: &str = "adapt_pool_queue_depth";
 
 /// Service-level objectives the watchdog enforces.
 #[derive(Debug, Clone)]
@@ -215,20 +218,18 @@ impl SloWatchdog {
         }
 
         // pool-stall: pending work but no completions for > k×p99 wall.
-        let pending: f64 = snap
+        let pool = snap
             .samples
             .iter()
-            .filter(|s| s.kind == MetricKind::Gauge && s.name.ends_with("_pending"))
-            .map(|s| s.value)
-            .sum();
+            .find(|s| s.kind == MetricKind::Gauge && s.name == POOL_DEPTH_GAUGE);
+        let pending = pool.map_or(0.0, |s| s.value);
         let completed = snap.counter_total("adapt_alerts_emitted_total")
             + snap.counter_total("adapt_epochs_localized_total");
-        let has_pool = snap.samples.iter().any(|s| s.name.ends_with("_pending"));
         if completed > self.last_completed {
             self.last_completed = completed;
             self.last_progress = Instant::now();
         }
-        if has_pool {
+        if pool.is_some() {
             let p99_ms = snap
                 .samples
                 .iter()
@@ -350,7 +351,7 @@ mod tests {
     #[test]
     fn pool_stall_requires_pending_work_and_silence() {
         let reg = MetricsRegistry::new();
-        reg.gauge("adapt_pool_pending", &[]).set(4.0);
+        reg.gauge(POOL_DEPTH_GAUGE, &[("queue", "pool")]).set(4.0);
         let emitted = reg.counter("adapt_alerts_emitted_total", &[]);
         let mut wd = SloWatchdog::new(SloConfig {
             stall_factor: 0.0, // any silence counts as a stall
@@ -361,9 +362,28 @@ mod tests {
         assert!(!stall.ok, "pending work + zero stall budget: {stall:?}");
         // progress resets the stall clock
         emitted.inc();
-        reg.gauge("adapt_pool_pending", &[]).set(0.0);
+        reg.gauge(POOL_DEPTH_GAUGE, &[("queue", "pool")]).set(0.0);
         let lines = wd.evaluate(2.0, &reg.snapshot());
         assert!(lines.iter().find(|l| l.check == "pool-stall").unwrap().ok);
+    }
+
+    #[test]
+    fn flight_queues_arm_no_pool_stall() {
+        // a flight runtime has bounded ingest/epoch queues and no pool
+        let reg = MetricsRegistry::new();
+        for q in ["ingest", "epoch"] {
+            reg.gauge(&format!("adapt_{q}_queue_depth"), &[("queue", q)])
+                .set(3.0);
+            reg.gauge(&format!("adapt_{q}_queue_capacity"), &[("queue", q)])
+                .set(4.0);
+        }
+        let mut wd = SloWatchdog::new(SloConfig {
+            stall_factor: 0.0,
+            ..SloConfig::default()
+        });
+        let lines = wd.evaluate(1.0, &reg.snapshot());
+        assert!(lines.iter().any(|l| l.check == "queue-saturation"));
+        assert!(!lines.iter().any(|l| l.check == "pool-stall"), "{lines:?}");
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //!   the drift counters and `telemetry-report`;
 //! * [`live`] — the *live* observability layer: a lock-free
 //!   [`MetricsRegistry`] of named, labeled counters/gauges/histograms,
-//!   the [`LiveObserver`] periodic snapshot exporter (NDJSON stream +
-//!   Prometheus text exposition over [`MetricsServer`]), and the
+//!   the [`LiveObserver`] — a [`Recorder`] projecting facts into that
+//!   registry under derived names, and the periodic snapshot exporter
+//!   (NDJSON stream + Prometheus text exposition over
+//!   [`MetricsServer`]) — the [`FanOut`] recorder that feeds it, and the
 //!   `adapt top` renderer;
 //! * [`health`] — the [`SloWatchdog`] turning registry snapshots into
 //!   greppable `health:` verdicts (deadline burn, queue saturation,
@@ -61,9 +63,9 @@ pub use forensics::render_forensics;
 pub use health::{HealthLine, SloConfig, SloWatchdog};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use live::{
-    parse_live_stream, render_top, CounterHandle, GaugeHandle, HistogramHandle, LiveObserver,
-    LiveSnapshot, MetricKind, MetricSample, MetricsRegistry, MetricsServer, RegistrySnapshot,
-    LIVE_SCHEMA,
+    parse_live_stream, render_top, CounterHandle, FanOut, GaugeHandle, HistogramHandle,
+    LiveObserver, LiveSnapshot, MetricKind, MetricSample, MetricsRegistry, MetricsServer,
+    RegistrySnapshot, LIVE_SCHEMA,
 };
 pub use ndjson::{export, validate as validate_ndjson, NdjsonSummary, NDJSON_SCHEMA};
 pub use recorder::{

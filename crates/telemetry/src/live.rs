@@ -3,10 +3,13 @@
 //! Prometheus-style text exposition over a tiny blocking HTTP endpoint),
 //! and the `adapt top` table renderer.
 //!
-//! Services register counters/gauges/histograms once at startup (the
-//! only locked path) and then update them through [`CounterHandle`] /
-//! [`GaugeHandle`] / [`HistogramHandle`], which are plain `Arc`s around
-//! atomics — the hot path never takes a lock and never allocates.
+//! The registry is a projection of [`Recorder`] facts: [`LiveObserver`]
+//! implements [`Recorder`], naming each metric after the fact, and
+//! runtimes hand instrumented code one [`FanOut`] recorder. Handles are
+//! registered on first use (the only locked path); after that
+//! [`CounterHandle`] / [`GaugeHandle`] / [`HistogramHandle`] are plain
+//! `Arc`s around atomics, so the hot path never takes a lock and never
+//! allocates.
 //! [`LiveObserver::tick`] snapshots the registry every N *simulated*
 //! seconds (gated by one atomic compare-exchange, so concurrent shards
 //! can all call it cheaply), appends a `live_snapshot` NDJSON line, and
@@ -15,10 +18,15 @@
 
 use crate::health::{HealthLine, SloConfig, SloWatchdog};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
+use crate::recorder::{
+    AlertRecord, Counter, DegradationRecord, LoopIterationRecord, LoopSummaryRecord, Recorder,
+    Stage, TraceSpanRecord, TriggerDecisionRecord,
+};
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Schema version of the `live_*` NDJSON snapshot stream (independent of
@@ -47,12 +55,23 @@ impl MetricKind {
     }
 }
 
-#[derive(Debug)]
+/// A registered metric's value cell, shared with the handles.
+#[derive(Debug, Clone)]
 enum EntryValue {
-    Counter(AtomicU64),
+    Counter(Arc<AtomicU64>),
     /// f64 stored as its bit pattern.
-    Gauge(AtomicU64),
-    Histogram(LatencyHistogram),
+    Gauge(Arc<AtomicU64>),
+    Histogram(Arc<LatencyHistogram>),
+}
+
+impl EntryValue {
+    fn kind(&self) -> MetricKind {
+        match self {
+            EntryValue::Counter(_) => MetricKind::Counter,
+            EntryValue::Gauge(_) => MetricKind::Gauge,
+            EntryValue::Histogram(_) => MetricKind::Histogram,
+        }
+    }
 }
 
 /// One registered metric: a name, a label set, and its value cell.
@@ -63,20 +82,10 @@ struct Entry {
     value: EntryValue,
 }
 
-impl Entry {
-    fn kind(&self) -> MetricKind {
-        match self.value {
-            EntryValue::Counter(_) => MetricKind::Counter,
-            EntryValue::Gauge(_) => MetricKind::Gauge,
-            EntryValue::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-}
-
 /// A handle to a registered counter; `inc`/`add` are single relaxed
 /// atomic adds. Clone freely — all clones share the same cell.
 #[derive(Debug, Clone)]
-pub struct CounterHandle(Arc<Entry>);
+pub struct CounterHandle(Arc<AtomicU64>);
 
 impl CounterHandle {
     /// Add 1.
@@ -88,73 +97,52 @@ impl CounterHandle {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        match &self.0.value {
-            EntryValue::Counter(c) => {
-                c.fetch_add(n, Ordering::Relaxed);
-            }
-            _ => unreachable!("counter handle wraps a counter entry"),
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        match &self.0.value {
-            EntryValue::Counter(c) => c.load(Ordering::Relaxed),
-            _ => unreachable!("counter handle wraps a counter entry"),
-        }
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A handle to a registered gauge; `set` is one relaxed atomic store.
 #[derive(Debug, Clone)]
-pub struct GaugeHandle(Arc<Entry>);
+pub struct GaugeHandle(Arc<AtomicU64>);
 
 impl GaugeHandle {
     /// Overwrite the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        match &self.0.value {
-            EntryValue::Gauge(g) => g.store(v.to_bits(), Ordering::Relaxed),
-            _ => unreachable!("gauge handle wraps a gauge entry"),
-        }
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        match &self.0.value {
-            EntryValue::Gauge(g) => f64::from_bits(g.load(Ordering::Relaxed)),
-            _ => unreachable!("gauge handle wraps a gauge entry"),
-        }
+        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
 /// A handle to a registered latency histogram.
 #[derive(Debug, Clone)]
-pub struct HistogramHandle(Arc<Entry>);
+pub struct HistogramHandle(Arc<LatencyHistogram>);
 
 impl HistogramHandle {
-    fn hist(&self) -> &LatencyHistogram {
-        match &self.0.value {
-            EntryValue::Histogram(h) => h,
-            _ => unreachable!("histogram handle wraps a histogram entry"),
-        }
-    }
-
     /// Record one duration.
     #[inline]
     pub fn record(&self, d: Duration) {
-        self.hist().record(d);
+        self.0.record(d);
     }
 
     /// Record a millisecond value.
     #[inline]
     pub fn record_ms(&self, ms: f64) {
-        self.hist().record_ns((ms.max(0.0) * 1e6) as u64);
+        self.0.record_ns((ms.max(0.0) * 1e6) as u64);
     }
 
     /// Coherent percentile snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.hist().snapshot()
+        self.0.snapshot()
     }
 }
 
@@ -217,11 +205,12 @@ impl RegistrySnapshot {
 
 /// The lock-free metrics registry. Registration (cold, once per handle)
 /// takes a mutex; everything after goes through the returned handles.
+/// Series of one metric family are kept together, in registration order.
 /// Registering the same name + label set twice returns a handle to the
 /// same cell, so re-entrant services compose.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    entries: Mutex<Vec<Arc<Entry>>>,
+    entries: Mutex<Vec<Entry>>,
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -240,12 +229,13 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The cell of `name` + `labels`, made by `make` on first use.
     fn register(
         &self,
         name: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> EntryValue,
-    ) -> Arc<Entry> {
+    ) -> EntryValue {
         assert!(
             valid_metric_name(name),
             "metric name {name:?} must match [a-zA-Z_][a-zA-Z0-9_]*"
@@ -262,60 +252,52 @@ impl MetricsRegistry {
             .iter()
             .find(|e| e.name == name && e.labels == labels)
         {
-            return Arc::clone(found);
+            return found.value.clone();
         }
-        let entry = Arc::new(Entry {
+        // after the last series of the same family, so families stay whole
+        let at = entries.iter().rposition(|e| e.name == name);
+        let at = at.map_or(entries.len(), |i| i + 1);
+        let value = make();
+        let entry = Entry {
             name: name.to_string(),
             labels,
-            value: make(),
-        });
-        entries.push(Arc::clone(&entry));
-        entry
+            value: value.clone(),
+        };
+        entries.insert(at, entry);
+        value
     }
 
     /// Register (or re-open) a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        let e = self.register(name, labels, || EntryValue::Counter(AtomicU64::new(0)));
-        assert!(
-            e.kind() == MetricKind::Counter,
-            "{name} already registered as {:?}",
-            e.kind()
-        );
-        CounterHandle(e)
+        match self.register(name, labels, || EntryValue::Counter(Default::default())) {
+            EntryValue::Counter(c) => CounterHandle(c),
+            other => panic!("{name} already registered as {:?}", other.kind()),
+        }
     }
 
     /// Register (or re-open) a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        let e = self.register(name, labels, || {
-            EntryValue::Gauge(AtomicU64::new(0f64.to_bits()))
-        });
-        assert!(
-            e.kind() == MetricKind::Gauge,
-            "{name} already registered as {:?}",
-            e.kind()
-        );
-        GaugeHandle(e)
+        // 0 is also the bit pattern of 0.0
+        match self.register(name, labels, || EntryValue::Gauge(Default::default())) {
+            EntryValue::Gauge(g) => GaugeHandle(g),
+            other => panic!("{name} already registered as {:?}", other.kind()),
+        }
     }
 
     /// Register (or re-open) a latency histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        let e = self.register(name, labels, || {
-            EntryValue::Histogram(LatencyHistogram::new())
-        });
-        assert!(
-            e.kind() == MetricKind::Histogram,
-            "{name} already registered as {:?}",
-            e.kind()
-        );
-        HistogramHandle(e)
+        match self.register(name, labels, || EntryValue::Histogram(Default::default())) {
+            EntryValue::Histogram(h) => HistogramHandle(h),
+            other => panic!("{name} already registered as {:?}", other.kind()),
+        }
     }
 
     /// Copy every metric without stopping writers. The mutex guards only
-    /// the entry *list*; values are read through the same atomics the
-    /// workers write, and histograms use the coherent
-    /// [`LatencyHistogram::snapshot`].
+    /// the entry *list* (it blocks registration, never a handle); values
+    /// are read through the same atomics the workers write, and
+    /// histograms use the coherent [`LatencyHistogram::snapshot`].
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let entries: Vec<Arc<Entry>> = self.entries.lock().unwrap().clone();
+        let entries = self.entries.lock().unwrap();
         let samples = entries
             .iter()
             .map(|e| {
@@ -327,7 +309,7 @@ impl MetricsRegistry {
                 MetricSample {
                     name: e.name.clone(),
                     labels: e.labels.clone(),
-                    kind: e.kind(),
+                    kind: e.value.kind(),
                     value,
                     hist,
                 }
@@ -411,6 +393,46 @@ pub struct LiveObserver {
     snapshots: AtomicU64,
     /// Print `health:` lines to stdout as they are evaluated.
     pub print_health: AtomicBool,
+    counters: [OnceLock<CounterHandle>; Counter::ALL.len()],
+    stages: [OnceLock<HistogramHandle>; Stage::ALL.len()],
+    queue_depths: HandleTable<String, GaugeHandle>,
+    alerts_by_stream: HandleTable<u64, CounterHandle>,
+    localized_by_level: HandleTable<String, CounterHandle>,
+}
+
+/// Labeled handles registered on first use and found again without the
+/// registry lock: write-once slots scanned in order. Past the last slot,
+/// calls go to the (locked) registry, which returns the same cell.
+#[derive(Debug)]
+struct HandleTable<K, H> {
+    slots: Box<[OnceLock<(K, H)>]>,
+}
+
+impl<K, H> HandleTable<K, H> {
+    fn new(capacity: usize) -> Self {
+        HandleTable {
+            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Apply `f` to `key`'s handle, made by `register` on first use.
+    fn with<Q>(&self, key: &Q, register: impl FnOnce() -> H, f: impl FnOnce(&H))
+    where
+        K: Borrow<Q>,
+        Q: PartialEq + ToOwned<Owned = K> + ?Sized,
+    {
+        let mut register = Some(register);
+        for slot in self.slots.iter() {
+            // a slot another key won is skipped; ours matches by construction
+            let (k, h) = slot.get_or_init(|| (key.to_owned(), register.take().unwrap()()));
+            if k.borrow() == key {
+                return f(h);
+            }
+        }
+        if let Some(register) = register {
+            f(&register());
+        }
+    }
 }
 
 impl LiveObserver {
@@ -425,6 +447,11 @@ impl LiveObserver {
             breaches: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             print_health: AtomicBool::new(false),
+            counters: Default::default(),
+            stages: Default::default(),
+            queue_depths: HandleTable::new(8),
+            alerts_by_stream: HandleTable::new(1024),
+            localized_by_level: HandleTable::new(8),
         }
     }
 
@@ -441,7 +468,8 @@ impl LiveObserver {
         Ok(self)
     }
 
-    /// The registry services install their handles into.
+    /// The registry: [`Recorder`] calls land here, and services set
+    /// their configuration gauges on it directly.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -518,6 +546,111 @@ impl LiveObserver {
             let _ = file.flush();
         }
         health
+    }
+}
+
+/// The live projection of [`Recorder`] facts. Names are derived from the
+/// fact, never hand-registered; `is_enabled` stays `false`, so an
+/// attached observer switches on no span or forensics work.
+impl Recorder for LiveObserver {
+    fn duration(&self, stage: Stage, d: Duration) {
+        let name = || format!("adapt_{}_ms", stage.name());
+        let slot = &self.stages[stage as usize];
+        slot.get_or_init(|| self.registry.histogram(&name(), &[]))
+            .record(d);
+    }
+
+    fn add(&self, counter: Counter, n: u64) {
+        let name = || format!("adapt_{}_total", counter.name());
+        let slot = &self.counters[counter as usize];
+        slot.get_or_init(|| self.registry.counter(&name(), &[]))
+            .add(n);
+    }
+
+    fn degradation(&self, _record: &DegradationRecord) {
+        self.add(Counter::DegradationTransitions, 1);
+    }
+
+    fn alert(&self, record: &AlertRecord) {
+        let (stream, level) = (record.stream_id, record.mode.as_str());
+        let by_stream = || {
+            let label = stream.to_string();
+            self.registry
+                .counter("adapt_alerts_emitted_total", &[("stream", &label)])
+        };
+        self.alerts_by_stream
+            .with(&stream, by_stream, CounterHandle::inc);
+        let by_level = || {
+            self.registry
+                .counter("adapt_epochs_localized_total", &[("level", level)])
+        };
+        self.localized_by_level
+            .with(level, by_level, CounterHandle::inc);
+    }
+
+    fn queue_depth(&self, queue: &str, depth: u64) {
+        let gauge = || {
+            let name = format!("adapt_{queue}_queue_depth");
+            self.registry.gauge(&name, &[("queue", queue)])
+        };
+        self.queue_depths
+            .with(queue, gauge, |g| g.set(depth as f64));
+    }
+}
+
+/// The one recorder a runtime hands its instrumented code: every call
+/// goes to the attached recorder and, when a live observer is attached,
+/// to the observer too.
+pub struct FanOut<'a> {
+    recorder: &'a dyn Recorder,
+    live: Option<&'a LiveObserver>,
+}
+
+impl<'a> FanOut<'a> {
+    /// Fan `recorder` out to `live`.
+    pub fn new(recorder: &'a dyn Recorder, live: Option<&'a LiveObserver>) -> Self {
+        FanOut { recorder, live }
+    }
+
+    /// This fan-out, or the attached recorder itself when no observer is
+    /// attached (no extra indirection).
+    pub fn recorder(&self) -> &dyn Recorder {
+        match self.live {
+            Some(_) => self,
+            None => self.recorder,
+        }
+    }
+}
+
+/// Forwards each listed [`Recorder`] method to the attached recorder and
+/// then to the observer, if one is attached.
+macro_rules! fan_out {
+    ($($method:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        fn $method(&self, $($arg: $ty),*) {
+            self.recorder.$method($($arg),*);
+            if let Some(live) = self.live {
+                live.$method($($arg),*);
+            }
+        }
+    )*};
+}
+
+impl Recorder for FanOut<'_> {
+    fn is_enabled(&self) -> bool {
+        // the observer never asks for extra work
+        self.recorder.is_enabled()
+    }
+
+    fan_out! {
+        duration(stage: Stage, d: Duration);
+        add(counter: Counter, n: u64);
+        loop_iteration(record: &LoopIterationRecord);
+        loop_summary(record: &LoopSummaryRecord);
+        degradation(record: &DegradationRecord);
+        alert(record: &AlertRecord);
+        queue_depth(queue: &str, depth: u64);
+        trace_span(record: &TraceSpanRecord);
+        trigger_decision(record: &TriggerDecisionRecord);
     }
 }
 
@@ -725,7 +858,7 @@ pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
 }
 
 /// Render one snapshot as the `adapt top` table: global counters, then
-/// per-label-dimension breakdowns (stream/worker/level), then latency
+/// per-label-dimension breakdowns (stream/worker/level/queue), then latency
 /// histograms and health verdicts.
 pub fn render_top(snap: &LiveSnapshot) -> String {
     let mut out = String::new();
@@ -747,7 +880,7 @@ pub fn render_top(snap: &LiveSnapshot) -> String {
         }
     }
     // Breakdown tables per label dimension.
-    for dim in ["stream", "worker", "level"] {
+    for dim in ["stream", "worker", "level", "queue"] {
         let mut rows: Vec<(&MetricSample, &str)> = snap
             .samples
             .iter()
@@ -911,19 +1044,95 @@ mod tests {
     #[test]
     fn exposition_renders_types_and_series() {
         let reg = MetricsRegistry::new();
-        reg.counter("adapt_alerts_emitted_total", &[]).add(7);
-        reg.gauge("adapt_pool_pending", &[]).set(3.5);
+        reg.counter("adapt_alerts_emitted_total", &[("stream", "0")])
+            .add(7);
+        reg.gauge("adapt_pool_queue_depth", &[]).set(3.5);
+        reg.counter("adapt_alerts_emitted_total", &[("stream", "1")])
+            .add(2);
         let h = reg.histogram("adapt_epoch_latency_ms", &[("worker", "0")]);
         h.record_ms(10.0);
         h.record_ms(20.0);
         let text = reg.exposition();
-        assert!(text.contains("# TYPE adapt_alerts_emitted_total counter"));
-        assert!(text.contains("adapt_alerts_emitted_total 7"));
-        assert!(text.contains("# TYPE adapt_pool_pending gauge"));
-        assert!(text.contains("adapt_pool_pending 3.5"));
+        // a family's series stay together under one TYPE line, even when
+        // registered apart
+        assert!(text.starts_with(
+            "# TYPE adapt_alerts_emitted_total counter\n\
+             adapt_alerts_emitted_total{stream=\"0\"} 7\n\
+             adapt_alerts_emitted_total{stream=\"1\"} 2\n"
+        ));
+        assert!(text.contains("# TYPE adapt_pool_queue_depth gauge"));
+        assert!(text.contains("adapt_pool_queue_depth 3.5"));
         assert!(text.contains("# TYPE adapt_epoch_latency_ms summary"));
         assert!(text.contains("adapt_epoch_latency_ms{worker=\"0\",quantile=\"0.99\"}"));
         assert!(text.contains("adapt_epoch_latency_ms_count{worker=\"0\"} 2"));
+    }
+
+    #[test]
+    fn observer_projects_recorder_facts_under_derived_names() {
+        let obs = LiveObserver::new(5.0, SloConfig::default());
+        let fan = FanOut::new(crate::noop(), Some(&obs));
+        let rec = fan.recorder();
+        assert!(!rec.is_enabled(), "an observer switches on no extra work");
+        rec.add(Counter::AlertsFannedOut, 2);
+        rec.add(Counter::AlertsFannedOut, 3);
+        rec.duration(Stage::AlertLatency, Duration::from_millis(4));
+        rec.queue_depth("pool", 7);
+        rec.queue_depth("pool", 5);
+        for (stream_id, mode) in [(3, "full-ml"), (3, "classical"), (11, "full-ml")] {
+            rec.alert(&AlertRecord {
+                stream_id,
+                t_s: 1.0,
+                mode: mode.into(),
+                polar_deg: 10.0,
+                azimuth_deg: 0.0,
+                containment_radius_deg: 2.0,
+                containment_source: "heuristic".into(),
+                latency_ms: 4.0,
+                rings: 10,
+                ingest_depth: 0,
+                epoch_depth: 0,
+            });
+        }
+        rec.degradation(&DegradationRecord {
+            t_s: 1.0,
+            from: "full-ml".into(),
+            to: "classical".into(),
+            reason: "deadline-budget".into(),
+        });
+        let text = obs.exposition();
+        assert!(text.contains("adapt_alerts_fanned_out_total 5"), "{text}");
+        assert!(text.contains("adapt_alert_latency_ms_count 1"), "{text}");
+        assert!(
+            text.contains("adapt_pool_queue_depth{queue=\"pool\"} 5"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adapt_alerts_emitted_total{stream=\"3\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("adapt_alerts_emitted_total{stream=\"11\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("adapt_epochs_localized_total{level=\"full-ml\"} 2"));
+        assert!(
+            text.contains("adapt_degradation_transitions_total 1"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn handle_table_falls_back_to_the_registry_when_full() {
+        let reg = MetricsRegistry::new();
+        let table: HandleTable<u64, CounterHandle> = HandleTable::new(1);
+        for stream in [0u64, 1, 1, 0] {
+            let label = stream.to_string();
+            let register = || reg.counter("adapt_alerts_emitted_total", &[("stream", &label)]);
+            table.with(&stream, register, CounterHandle::inc);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.samples.len(), 2);
+        assert!(snap.samples.iter().all(|s| s.value == 2.0));
     }
 
     #[test]

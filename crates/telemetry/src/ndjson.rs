@@ -14,8 +14,8 @@
 //! * `counter` — one per non-zero counter;
 //! * `degradation` — one per onboard scheduler level transition: stream
 //!   time, from/to level, reason;
-//! * `alert` — one per emitted GRB alert: trigger time, mode, direction,
-//!   containment radius, latency;
+//! * `alert` — one per emitted GRB alert: tenant stream, trigger time,
+//!   mode, direction, containment radius, latency;
 //! * `queue` — one per stage queue: max observed depth, sample count;
 //! * `trace` — one per causal trace span: trace id, span name, parent,
 //!   start offset and duration (ms), queue depth at the hop, detail;
@@ -56,7 +56,10 @@ use serde::Value;
 ///
 /// Version 7 added `containment_source` (`skymap` | `heuristic`) to
 /// `alert` lines; absent in older captures, it defaults to `heuristic`.
-pub const NDJSON_SCHEMA: u32 = 7;
+///
+/// Version 8 added `stream_id` (the alerting tenant) to `alert` lines;
+/// absent in older captures, it defaults to `0`.
+pub const NDJSON_SCHEMA: u32 = 8;
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -179,6 +182,7 @@ pub fn export(recorder: &FlightRecorder, repetitions: usize) -> String {
     for a in recorder.alert_records() {
         out.push_str(&line(&obj(vec![
             ("type", Value::Str("alert".into())),
+            ("stream_id", Value::UInt(a.stream_id)),
             ("t_s", Value::Float(a.t_s)),
             ("mode", Value::Str(a.mode.clone())),
             ("polar_deg", Value::Float(a.polar_deg)),
@@ -546,6 +550,11 @@ pub fn validate(text: &str) -> Result<NdjsonSummary, String> {
                     ));
                 }
                 summary.alerts.push(AlertRecord {
+                    // added in schema 8; older captures were single-stream
+                    stream_id: match v.get("stream_id") {
+                        None => 0,
+                        Some(_) => need_uint(&v, "stream_id", lineno)?,
+                    },
                     t_s,
                     mode,
                     polar_deg,
@@ -783,8 +792,6 @@ mod tests {
         r.add(Counter::EventsIngested, 5000);
         r.add(Counter::EventsDropped, 3);
         r.add(Counter::EpochsOpened, 1);
-        r.add(Counter::AlertsEmitted, 1);
-        r.add(Counter::DegradationTransitions, 1);
         r.queue_depth("ingest", 41);
         r.queue_depth("epoch", 1);
         r.degradation(&crate::recorder::DegradationRecord {
@@ -794,6 +801,7 @@ mod tests {
             reason: "deadline-budget".into(),
         });
         r.alert(&crate::recorder::AlertRecord {
+            stream_id: 5,
             t_s: 3601.2,
             mode: "coarse-skymap".into(),
             polar_deg: 21.0,
@@ -810,9 +818,14 @@ mod tests {
         assert_eq!(summary.alerts.len(), 1);
         assert_eq!(summary.alerts[0].mode, "coarse-skymap");
         assert_eq!(summary.alerts[0].containment_source, "skymap");
+        assert_eq!(summary.alerts[0].stream_id, 5);
         assert!((summary.alerts[0].latency_ms - 42.0).abs() < 1e-9);
         assert_eq!(summary.degradations.len(), 1);
         assert_eq!(summary.degradations[0].to, "coarse-skymap");
+        // the alert and degradation records derived their counters
+        for name in ["alerts_emitted", "degradation_transitions"] {
+            assert!(summary.counters.contains(&(name.to_string(), 1)), "{name}");
+        }
     }
 
     #[test]
@@ -833,6 +846,24 @@ mod tests {
         );
         let err = validate(&format!("{meta}\n{bad}\n")).unwrap_err();
         assert!(err.contains("containment_source"), "{err}");
+    }
+
+    #[test]
+    fn alert_stream_id_defaults_and_validates() {
+        // A schema-8 alert line carries its tenant; a pre-schema-8 line
+        // (no stream_id) came from a single-stream capture: stream 0.
+        let meta = format!("{{\"type\":\"meta\",\"schema\":{NDJSON_SCHEMA},\"repetitions\":1}}");
+        let legacy = "{\"type\":\"alert\",\"t_s\":1.0,\"mode\":\"full-ml\",\"polar_deg\":10.0,\
+                      \"azimuth_deg\":0.0,\"containment_radius_deg\":2.0,\"latency_ms\":5.0,\
+                      \"rings\":10,\"ingest_depth\":0,\"epoch_depth\":0}";
+        let tagged = legacy.replace("\"t_s\"", "\"stream_id\":42,\"t_s\"");
+        let summary = validate(&format!("{meta}\n{legacy}\n{tagged}\n")).expect("both validate");
+        assert_eq!(summary.alerts[0].stream_id, 0);
+        assert_eq!(summary.alerts[1].stream_id, 42);
+
+        let negative = legacy.replace("\"t_s\"", "\"stream_id\":-1,\"t_s\"");
+        let err = validate(&format!("{meta}\n{negative}\n")).unwrap_err();
+        assert!(err.contains("stream_id"), "{err}");
     }
 
     #[test]

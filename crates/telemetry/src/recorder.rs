@@ -38,7 +38,8 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in table order.
+    /// Every stage, in table (and declaration) order: `stage as usize`
+    /// indexes it.
     pub const ALL: [Stage; 8] = [
         Stage::Reconstruction,
         Stage::Setup,
@@ -111,9 +112,10 @@ pub enum Counter {
     EventsDropped,
     /// Onboard runtime: localization epochs opened by the rate trigger.
     EpochsOpened,
-    /// Onboard runtime: GRB alerts emitted.
+    /// Onboard runtime: GRB alerts emitted (one per [`Recorder::alert`]).
     AlertsEmitted,
-    /// Onboard runtime: degradation-level transitions taken.
+    /// Onboard runtime: degradation-level transitions taken (one per
+    /// [`Recorder::degradation`]).
     DegradationTransitions,
     /// Onboard runtime: checkpoints written.
     CheckpointsWritten,
@@ -139,7 +141,8 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// Every counter, in export order.
+    /// Every counter, in export (and declaration) order: `counter as
+    /// usize` indexes it.
     pub const ALL: [Counter; 21] = [
         Counter::TrialsRun,
         Counter::RingsIn,
@@ -317,6 +320,9 @@ pub struct TriggerDecisionRecord {
 /// One emitted GRB alert, as seen by telemetry.
 #[derive(Debug, Clone)]
 pub struct AlertRecord {
+    /// Tenant stream that triggered (`0` for the single-stream flight
+    /// runtime).
+    pub stream_id: u64,
     /// Trigger time in stream seconds.
     pub t_s: f64,
     /// Degradation level that produced the localization (machine name).
@@ -374,12 +380,13 @@ pub trait Recorder: Sync {
         let _ = record;
     }
 
-    /// Record a degradation-level transition of the onboard scheduler.
+    /// Record (and count) a degradation-level transition of the onboard
+    /// scheduler.
     fn degradation(&self, record: &DegradationRecord) {
         let _ = record;
     }
 
-    /// Record an emitted GRB alert.
+    /// Record (and count) an emitted GRB alert.
     fn alert(&self, record: &AlertRecord) {
         let _ = record;
     }
@@ -502,7 +509,7 @@ impl FlightRecorder {
 
     /// The histogram backing a stage.
     pub fn stage_histogram(&self, stage: Stage) -> &LatencyHistogram {
-        &self.stages[Self::stage_slot(stage)]
+        &self.stages[stage as usize]
     }
 
     /// A percentile snapshot of a stage.
@@ -512,7 +519,7 @@ impl FlightRecorder {
 
     /// Current value of a counter.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[Self::counter_slot(counter)].load(Ordering::Relaxed)
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// The loop-event log (iteration + summary records, in emission order).
@@ -596,14 +603,6 @@ impl FlightRecorder {
         }
     }
 
-    fn stage_slot(stage: Stage) -> usize {
-        Stage::ALL.iter().position(|&s| s == stage).unwrap()
-    }
-
-    fn counter_slot(counter: Counter) -> usize {
-        Counter::ALL.iter().position(|&c| c == counter).unwrap()
-    }
-
     fn current_context(&self) -> (String, u64) {
         self.context.lock().unwrap().clone()
     }
@@ -619,7 +618,7 @@ impl Recorder for FlightRecorder {
     }
 
     fn add(&self, counter: Counter, n: u64) {
-        self.counters[Self::counter_slot(counter)].fetch_add(n, Ordering::Relaxed);
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     fn loop_iteration(&self, record: &LoopIterationRecord) {
@@ -641,10 +640,12 @@ impl Recorder for FlightRecorder {
     }
 
     fn degradation(&self, record: &DegradationRecord) {
+        self.add(Counter::DegradationTransitions, 1);
         self.degradations.lock().unwrap().push(record.clone());
     }
 
     fn alert(&self, record: &AlertRecord) {
+        self.add(Counter::AlertsEmitted, 1);
         self.alerts.lock().unwrap().push(record.clone());
     }
 
@@ -775,6 +776,7 @@ mod tests {
             reason: "deadline-budget".into(),
         });
         b.alert(&AlertRecord {
+            stream_id: 3,
             t_s: 12.5,
             mode: "classical".into(),
             polar_deg: 20.0,
@@ -810,10 +812,23 @@ mod tests {
         assert_eq!(ingest.1.samples, 3);
         assert_eq!(a.degradation_records().len(), 1);
         assert_eq!(a.alert_records()[0].mode, "classical");
+        // records derive their own counters
+        assert_eq!(a.counter(Counter::AlertsEmitted), 1);
+        assert_eq!(a.counter(Counter::DegradationTransitions), 1);
         let decisions = a.trigger_decision_records();
         assert_eq!(decisions.len(), 1);
         assert!(decisions[0].fired);
         assert_eq!(decisions[0].windows.len(), 1);
+    }
+
+    #[test]
+    fn slots_are_discriminants() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{}", c.name());
+        }
+        for (i, s) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{}", s.name());
+        }
     }
 
     #[test]
