@@ -202,6 +202,14 @@ impl SkyPosterior {
         self.len() == 0
     }
 
+    /// Normalized pixel probabilities, in the scheme's pixel order.
+    pub fn probabilities(&self) -> &[f64] {
+        match self {
+            SkyPosterior::Raster(m) => m.probabilities(),
+            SkyPosterior::Healpix(m) => m.probabilities(),
+        }
+    }
+
     /// The maximum-probability direction.
     pub fn mode(&self) -> UnitVec3 {
         match self {
