@@ -73,5 +73,9 @@ fn posterior_bits_are_pinned() {
             ));
         }
     }
-    assert!(failures.is_empty(), "posterior bits moved:\n{}", failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "posterior bits moved:\n{}",
+        failures.join("\n")
+    );
 }
