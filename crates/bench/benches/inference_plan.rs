@@ -8,14 +8,14 @@
 //!   (flat i8 weights, per-row `(multiplier, shift)` requantization,
 //!   zero-alloc scratch) against the per-sample scalar reference
 //!   `QuantizedMlp::forward_one_reference` on the same batch;
-//! * **coarse-to-fine sky maps** — `SkyMap::from_rings_adaptive` against
-//!   the flat `SkyMap::from_rings` sweep on a ≥10k-pixel grid.
+//! * **coarse-to-fine sky maps** — `SkyPosterior::adaptive` against
+//!   the flat `SkyPosterior::flat` sweep on a ≥10k-pixel raster grid.
 //!
 //! `cargo bench --bench inference_plan`. The checked-in
 //! `BENCH_pipeline.json` numbers come from the `bench_pipeline` binary,
 //! which exercises the same pairs.
 
-use adapt_localize::{HemisphereGrid, SkyMap};
+use adapt_localize::{SkyGrid, SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
@@ -105,15 +105,23 @@ fn skymap_rings(n: usize, seed: u64) -> Vec<ComptonRing> {
 
 fn bench_skymap(c: &mut Criterion) {
     let rings = skymap_rings(600, 42);
-    let grid = HemisphereGrid::new(12_000);
+    let grid = SkyGrid::new(SkyPixelization::Raster, 12_000);
 
     let mut group = c.benchmark_group("skymap_12k_pixels_600_rings");
     group.sample_size(10);
     group.bench_function("flat_sweep", |b| {
-        b.iter(|| black_box(SkyMap::from_rings(&rings, grid.clone(), 3.0)))
+        b.iter(|| black_box(SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0)))
     });
     group.bench_function("coarse_to_fine", |b| {
-        b.iter(|| black_box(SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0)))
+        b.iter(|| {
+            black_box(SkyPosterior::adaptive(
+                grid.clone(),
+                &rings,
+                3.0,
+                1.0,
+                adapt_telemetry::noop(),
+            ))
+        })
     });
     group.finish();
 }

@@ -9,9 +9,9 @@
 //!   `CompiledQuantMlp::forward_batch` (256 rings), plus the max logit
 //!   divergence against the float plan and the background-accuracy
 //!   delta on a fresh burst;
-//! * sky-map rasterization — flat `SkyMap::from_rings` sweep vs the
-//!   coarse-to-fine `SkyMap::from_rings_adaptive` (12k pixels, 600
-//!   rings), with a credible-region parity check;
+//! * sky-map rasterization — flat `SkyPosterior::flat` sweep vs the
+//!   coarse-to-fine `SkyPosterior::adaptive` (12k-pixel raster, 600
+//!   rings, untempered), with a credible-region parity check;
 //! * end-to-end `Pipeline::run_trial` latency in ML mode, which now
 //!   reuses one `InferenceWorkspace` per thread across trials.
 //!
@@ -20,7 +20,7 @@
 
 use adapt_bench::{existing_schema, EnvReport};
 use adapt_core::prelude::*;
-use adapt_localize::{HemisphereGrid, SkyMap};
+use adapt_localize::{SkyGrid, SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
@@ -221,15 +221,14 @@ fn main() {
 
     // -- sky-map rasterization: flat sweep vs coarse-to-fine --
     let rings = synthetic_rings(600, 42);
-    let grid = HemisphereGrid::new(12_000);
-    let flat_s = median_secs(reps.min(20), || {
-        SkyMap::from_rings(&rings, grid.clone(), 3.0)
-    });
-    let adaptive_s = median_secs(reps.min(20), || {
-        SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0)
-    });
-    let flat_map = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-    let adaptive_map = SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0);
+    let grid = SkyGrid::new(SkyPixelization::Raster, 12_000);
+    let flat = || SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0);
+    let adaptive =
+        || SkyPosterior::adaptive(grid.clone(), &rings, 3.0, 1.0, adapt_telemetry::noop());
+    let flat_s = median_secs(reps.min(20), flat);
+    let adaptive_s = median_secs(reps.min(20), adaptive);
+    let flat_map = flat();
+    let adaptive_map = adaptive();
     let cr90_flat = flat_map.credible_region_sr(0.9);
     let cr90_adaptive = adaptive_map.credible_region_sr(0.9);
 
@@ -240,20 +239,16 @@ fn main() {
     let int8_portable = qplan.forward_batch(&feat, &mut qscratch).to_vec();
     let f64_portable_s = median_secs(reps, || plan.forward_batch(&batch, &mut scratch)[0]);
     let f64_portable = plan.forward_batch(&batch, &mut scratch).to_vec();
-    let sweep_portable_s = median_secs(reps.min(20), || {
-        SkyMap::from_rings(&rings, grid.clone(), 3.0)
-    });
-    let sweep_portable = SkyMap::from_rings(&rings, grid.clone(), 3.0);
+    let sweep_portable_s = median_secs(reps.min(20), flat);
+    let sweep_portable = flat();
     adapt_nn::set_force_portable(false);
     let isa = adapt_nn::active_isa();
     let int8_simd_s = median_secs(reps, || qplan.forward_batch(&feat, &mut qscratch)[0]);
     let int8_simd = qplan.forward_batch(&feat, &mut qscratch).to_vec();
     let f64_simd_s = median_secs(reps, || plan.forward_batch(&batch, &mut scratch)[0]);
     let f64_simd = plan.forward_batch(&batch, &mut scratch).to_vec();
-    let sweep_simd_s = median_secs(reps.min(20), || {
-        SkyMap::from_rings(&rings, grid.clone(), 3.0)
-    });
-    let sweep_simd = SkyMap::from_rings(&rings, grid.clone(), 3.0);
+    let sweep_simd_s = median_secs(reps.min(20), flat);
+    let sweep_simd = flat();
     // back to the env-derived default for the end-to-end sections below
     adapt_nn::set_force_portable(
         std::env::var("ADAPT_FORCE_PORTABLE")

@@ -36,7 +36,7 @@
 
 use crate::EnvReport;
 use adapt_core::prelude::*;
-use adapt_localize::{default_temperature, SkyPixelization, SkyPosterior};
+use adapt_localize::{default_temperature, SkyGrid, SkyPixelization, SkyPosterior};
 use adapt_math::angles::deg_to_rad;
 use adapt_math::vec3::UnitVec3;
 use adapt_sim::BackgroundConfig;
@@ -293,10 +293,9 @@ pub fn run_calibration(models: &TrainedModels, config: &CalibrationConfig) -> Ca
             let temperature = config
                 .temperature
                 .unwrap_or_else(|| default_temperature(rings.len()));
-            let posterior = SkyPosterior::from_rings_adaptive_tempered_recorded(
-                config.pixelization,
+            let posterior = SkyPosterior::adaptive(
+                SkyGrid::new(config.pixelization, config.target_pixels),
                 &rings,
-                config.target_pixels,
                 3.0,
                 temperature,
                 adapt_telemetry::noop(),

@@ -16,7 +16,7 @@
 use crate::training::TrainedModels;
 use adapt_localize::{
     BackgroundModel, BaselineLocalizer, InferenceBackend, InferenceWorkspace, MlLocalizer,
-    MlPipelineConfig, SkyPosterior, StageTimings,
+    MlPipelineConfig, StageTimings,
 };
 use adapt_math::angles::angular_separation;
 use adapt_nn::CompiledMlp;
@@ -159,25 +159,6 @@ impl<'a> Pipeline<'a> {
     /// The background environment this pipeline simulates under.
     pub fn background_config(&self) -> &BackgroundConfig {
         &self.background
-    }
-
-    /// Rasterize a posterior sky map for a ring set on the pixelization
-    /// selected in the ML config (`target_pixels` hemisphere budget,
-    /// matched in density by the HEALPix scheme), reporting wall time to
-    /// the attached recorder.
-    pub fn posterior_map(
-        &self,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-    ) -> SkyPosterior {
-        SkyPosterior::from_rings_adaptive_recorded(
-            self.ml_config.pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            self.recorder,
-        )
     }
 
     /// Attach a telemetry recorder (e.g. an

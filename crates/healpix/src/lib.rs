@@ -1,5 +1,4 @@
-//! Dependency-free nested HEALPix pixelization and equal-area posterior
-//! sky maps.
+//! Dependency-free nested HEALPix pixelization.
 //!
 //! HEALPix (Hierarchical Equal-Area iso-Latitude Pixelization, Górski
 //! et al. 2005) is the pixelization the field reports localizations in:
@@ -15,10 +14,12 @@
 //!   rasterizer expands along (children of nested pixel `p` are
 //!   `4p..4p+4`, so a refined coarse cell is one contiguous index
 //!   range);
-//! * [`HealpixSkyMap`] — a normalized posterior over the full sphere
-//!   with credible-region extraction, rasterized either flat or
-//!   coarse-to-fine over the shared vectorized cone sweep
-//!   ([`adapt_nn::simd::sweep_cone_logls`]).
+//! * [`pixel_bound_radius`] — the enclosing-cone radius the
+//!   coarse-to-fine bound propagates.
+//!
+//! It is pure index math: the posterior sky map rasterized on this grid
+//! lives in `adapt-localize` (`SkyPosterior`), written once for both
+//! pixelizations.
 //!
 //! The index math follows the reference algorithms of the HEALPix
 //! paper; the z/φ → face/(x, y) projection constants (`JRLL`, `JPLL`,
@@ -26,10 +27,8 @@
 //! tables, not tunables.
 
 pub mod nested;
-pub mod skymap;
 
 pub use nested::{
     children, max_pixrad, neighbors, npix, parent, pix2vec, pixel_bound_radius, pixel_solid_angle,
     vec2pix,
 };
-pub use skymap::{HealpixSkyMap, ADAPTIVE_LOGL_CUT};

@@ -93,7 +93,7 @@ pub fn approximate<R: Rng + ?Sized>(
 
     let geoms: Vec<_> = rings
         .iter()
-        .map(|r| ring_cone_geom(r, r.d_eta.max(config.d_eta_floor), config.floor_z, 1.0))
+        .map(|r| ring_cone_geom(r, r.d_eta.max(config.d_eta_floor), config.floor_z))
         .collect();
     let floor_const = -0.5 * config.floor_z * config.floor_z;
     let logls = sweep_cone_logls(&geoms, &candidates, floor_const);

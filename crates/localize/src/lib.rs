@@ -10,7 +10,10 @@
 //!   almost-linear system `cᵢ·s ≈ ηᵢ`;
 //! * [`localizer`] — the baseline (no-ML) pipeline;
 //! * [`ml`] — the Fig.-6 loop weaving the background and dEta networks
-//!   into localization, with per-stage timing capture.
+//!   into localization, with per-stage timing capture;
+//! * [`pixelization`] — the raster and HEALPix pixel grids ([`SkyGrid`]);
+//! * [`skymap`] — posterior sky maps and their credible regions
+//!   ([`SkyPosterior`]).
 
 pub mod approx;
 pub mod likelihood;
@@ -28,10 +31,9 @@ pub use ml::{
     BackgroundModel, DEtaUpdate, InferenceBackend, InferenceWorkspace, MlLocalizeResult,
     MlLocalizer, MlPipelineConfig, StageTimings,
 };
-pub use pixelization::{
-    default_temperature, nside_for_target_pixels, SkyPixelization, SkyPosterior,
-    TEMPERATURE_RING_COEFF,
-};
+pub use pixelization::{nside_for_target_pixels, SkyGrid, SkyPixelization};
 pub use refine::{refine, RefineConfig, RefineResult};
-pub use skymap::{ring_cone_geoms, ring_cone_geoms_scaled, HemisphereGrid, SkyMap};
+pub use skymap::{
+    default_temperature, ring_cone_geoms, HemisphereGrid, SkyPosterior, TEMPERATURE_RING_COEFF,
+};
 pub use uncertainty::{estimate_uncertainty, DirectionUncertainty};

@@ -15,7 +15,6 @@
 //! (paper Tables I/II) can be regenerated from any host.
 
 use crate::localizer::{BaselineLocalizer, LocalizerConfig};
-use crate::pixelization::{SkyPixelization, SkyPosterior};
 use adapt_math::angles::{deg_to_rad, polar_angle_deg};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::{
@@ -59,9 +58,6 @@ pub struct MlPipelineConfig {
     pub use_polar_input: bool,
     /// dEta application policy (paper: `Replace`).
     pub d_eta_update: DEtaUpdate,
-    /// Pixelization for posterior sky maps rasterized by this pipeline
-    /// (see [`crate::pixelization::SkyPixelization`]).
-    pub pixelization: SkyPixelization,
 }
 
 impl Default for MlPipelineConfig {
@@ -72,7 +68,6 @@ impl Default for MlPipelineConfig {
             convergence_tol_deg: 0.5,
             use_polar_input: true,
             d_eta_update: DEtaUpdate::Replace,
-            pixelization: SkyPixelization::default(),
         }
     }
 }
@@ -366,26 +361,6 @@ impl<'a> MlLocalizer<'a> {
                 x.row_mut(i).copy_from_slice(&r.features.to_static_array());
             }
         }
-    }
-
-    /// Rasterize the posterior sky map of a (typically
-    /// background-rejected) ring set on the configured pixelization,
-    /// coarse-to-fine, reporting rasterization wall time to the attached
-    /// recorder. `target_pixels` is the hemisphere pixel budget; the
-    /// HEALPix scheme matches it in sampling density over the sphere.
-    pub fn posterior_map(
-        &self,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-    ) -> SkyPosterior {
-        SkyPosterior::from_rings_adaptive_recorded(
-            self.config.pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            self.recorder,
-        )
     }
 
     /// Background probabilities for each ring at the given polar estimate.

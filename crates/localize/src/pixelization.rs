@@ -1,24 +1,19 @@
-//! Pixelization-agnostic posterior sky maps.
+//! Sky pixelizations: the geometry posterior sky maps are sampled on.
 //!
-//! The pipeline historically rasterized posteriors on the Lambert-belt
-//! [`HemisphereGrid`]; PR 10 adds the equal-area HEALPix alternative
-//! ([`adapt_healpix::HealpixSkyMap`]). [`SkyPixelization`] is the
-//! switch threaded through the localizer config, the onboard runtime,
-//! the ground service and the CLI; [`SkyPosterior`] wraps whichever map
-//! a rasterization produced behind one credible-region interface so
-//! downstream consumers (degradation ladder, alert fan-out,
-//! calibration) never branch on the scheme.
-//!
-//! Both rasterizers accumulate the joint robust cone likelihood with
-//! the same vectorized sweep over the same [`ConeGeom`] set
-//! ([`ring_cone_geoms`]), so switching pixelizations changes *where*
-//! the posterior is sampled, never *what* is sampled.
+//! [`SkyGrid`] is the only place the two schemes differ — pixel
+//! centers and point lookup, pixel solid angle, the coarse grid the
+//! coarse-to-fine pass bounds, and which directions are representable.
+//! Everything computed over a grid (the rasterizer, normalization and
+//! the credible-region statistics of [`crate::SkyPosterior`]) is written
+//! once, so switching pixelizations changes *where* the posterior is
+//! sampled, never *what* is sampled.
 
-use crate::skymap::{ring_cone_geoms, HemisphereGrid, SkyMap};
-use adapt_healpix::HealpixSkyMap;
+use crate::skymap::HemisphereGrid;
+use adapt_healpix::nested::{npix, pix2vec, pixel_bound_radius, pixel_solid_angle, vec2pix};
 use adapt_math::vec3::UnitVec3;
-use adapt_recon::ComptonRing;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Which equal-area scheme posterior sky maps are rasterized on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -57,33 +52,6 @@ impl SkyPixelization {
     }
 }
 
-/// Coefficient of the ring-count-adaptive likelihood temperature the
-/// plain [`SkyPosterior`] constructors apply (see
-/// [`default_temperature`]). Fit by the coverage-calibration campaign
-/// (`adapt calibrate`, persisted in `BENCH_calibration.json`); re-fit
-/// whenever the reconstruction or perturbation model changes.
-pub const TEMPERATURE_RING_COEFF: f64 = 0.24;
-
-/// The likelihood temperature applied when none is given explicitly:
-/// posterior ∝ L^(1/T) with `T = max(1, coeff·√N)` for `N` rings.
-///
-/// The per-ring error model misses the systematic
-/// (perturbation-driven) component of the localization error, so the
-/// untempered product of N ring likelihoods is far sharper than the
-/// true error distribution — its statistical width shrinks like 1/√N
-/// against a systematic floor that does not, so credible regions
-/// under-cover and the shortfall grows with burst brightness. The
-/// calibration campaign measures the required temperature scaling as
-/// √N across its constant signal-to-background grid (T*≈7 at ~870
-/// rings, T*≈12 at ~2590), which is what a fixed
-/// systematic-to-statistical variance ratio predicts. Off that
-/// population the law errs conservative: a bright burst on a quiet
-/// sky over-covers slightly (regions a touch too wide, never too
-/// narrow).
-pub fn default_temperature(n_rings: usize) -> f64 {
-    (TEMPERATURE_RING_COEFF * (n_rings as f64).sqrt()).max(1.0)
-}
-
 /// Smallest power-of-two `nside` whose full-sphere pixel count matches
 /// a hemisphere raster of `target_pixels`: the sphere needs twice the
 /// pixels for the same resolution, so solve `12·nside² ≥ 2·target`.
@@ -96,159 +64,143 @@ pub fn nside_for_target_pixels(target_pixels: usize) -> u32 {
     nside
 }
 
-/// A posterior sky map on either pixelization, with the unified
-/// credible-region interface the alert path consumes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum SkyPosterior {
-    Raster(SkyMap),
-    Healpix(HealpixSkyMap),
+/// Ratio of fine pixels to coarse cells in the coarse-to-fine pass.
+const COARSE_RATIO: usize = 64;
+
+/// [`COARSE_RATIO`] in HEALPix `nside` (pixel count scales as `nside²`).
+const COARSE_NSIDE_RATIO: u32 = 8;
+
+/// The pixel grid of a posterior sky map, on either scheme.
+#[derive(Debug, Clone)]
+pub enum SkyGrid {
+    /// Lambert-belt raster over the upper hemisphere.
+    Raster(HemisphereGrid),
+    /// Nested HEALPix over the full sphere at resolution `nside`; pixel
+    /// centers are computed on demand.
+    Healpix { nside: u32 },
 }
 
-impl SkyPosterior {
-    /// Rasterize the joint robust likelihood of `rings` coarse-to-fine
-    /// on the chosen pixelization. `target_pixels` is the hemisphere
-    /// pixel budget; HEALPix resolves it via [`nside_for_target_pixels`]
-    /// so both schemes sample the sky at comparable density.
-    pub fn from_rings_adaptive(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-    ) -> Self {
-        Self::from_rings_adaptive_recorded(
-            pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            adapt_telemetry::noop(),
-        )
-    }
+/// The coarse grid the coarse-to-fine pass scores and bounds, and how
+/// the fine grid's pixels fall into its cells.
+pub(crate) struct CoarseGrid {
+    pub grid: SkyGrid,
+    /// Enclosing-cone radius (radians) of each coarse cell.
+    pub radii: Vec<f64>,
+    /// The coarse cell holding each fine pixel.
+    pub cell_of: Vec<usize>,
+}
 
-    /// [`SkyPosterior::from_rings_adaptive`] with rasterization wall
-    /// time reported under [`adapt_telemetry::Stage::SkymapRasterize`].
-    pub fn from_rings_adaptive_recorded(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-        recorder: &dyn adapt_telemetry::Recorder,
-    ) -> Self {
-        Self::from_rings_adaptive_tempered_recorded(
-            pixelization,
-            rings,
-            target_pixels,
-            floor_z,
-            default_temperature(rings.len()),
-            recorder,
-        )
-    }
-
-    /// Full-control variant: the joint log-likelihood is divided by
-    /// `temperature` before exponentiation (posterior ∝ L^(1/T)).
-    /// Tempering widens every credible region without moving the mode —
-    /// the coverage-calibration campaign (`adapt calibrate`) fits the
-    /// ring-count-adaptive [`default_temperature`] the plain
-    /// constructors apply.
-    pub fn from_rings_adaptive_tempered_recorded(
-        pixelization: SkyPixelization,
-        rings: &[ComptonRing],
-        target_pixels: usize,
-        floor_z: f64,
-        temperature: f64,
-        recorder: &dyn adapt_telemetry::Recorder,
-    ) -> Self {
+impl SkyGrid {
+    /// The grid for a hemisphere pixel budget. HEALPix resolves it via
+    /// [`nside_for_target_pixels`] so both schemes sample the sky at
+    /// comparable density.
+    pub fn new(pixelization: SkyPixelization, target_pixels: usize) -> Self {
         match pixelization {
-            SkyPixelization::Raster => {
-                SkyPosterior::Raster(SkyMap::from_rings_adaptive_tempered_recorded(
-                    rings,
-                    HemisphereGrid::new(target_pixels),
-                    floor_z,
-                    temperature,
-                    recorder,
-                ))
-            }
-            SkyPixelization::Healpix => {
-                let geoms = ring_cone_geoms(rings, floor_z);
-                let nside = nside_for_target_pixels(target_pixels);
-                SkyPosterior::Healpix(HealpixSkyMap::from_cones_adaptive_tempered_recorded(
-                    &geoms,
-                    nside,
-                    floor_z,
-                    temperature,
-                    recorder,
-                ))
-            }
+            SkyPixelization::Raster => SkyGrid::Raster(HemisphereGrid::new(target_pixels)),
+            SkyPixelization::Healpix => SkyGrid::Healpix {
+                nside: nside_for_target_pixels(target_pixels),
+            },
         }
     }
 
-    /// Which pixelization this posterior is rasterized on.
+    /// Which scheme this grid is on.
     pub fn pixelization(&self) -> SkyPixelization {
         match self {
-            SkyPosterior::Raster(_) => SkyPixelization::Raster,
-            SkyPosterior::Healpix(_) => SkyPixelization::Healpix,
+            SkyGrid::Raster(_) => SkyPixelization::Raster,
+            SkyGrid::Healpix { .. } => SkyPixelization::Healpix,
         }
     }
 
     /// Pixel count.
     pub fn len(&self) -> usize {
         match self {
-            SkyPosterior::Raster(m) => m.probabilities().len(),
-            SkyPosterior::Healpix(m) => m.len(),
+            SkyGrid::Raster(g) => g.len(),
+            SkyGrid::Healpix { nside } => npix(*nside) as usize,
         }
     }
 
-    /// True only for a degenerate empty map.
+    /// True only for a degenerate empty grid (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Normalized pixel probabilities, in the scheme's pixel order.
-    pub fn probabilities(&self) -> &[f64] {
+    /// Solid angle of one pixel (sr).
+    pub fn pixel_solid_angle(&self) -> f64 {
         match self {
-            SkyPosterior::Raster(m) => m.probabilities(),
-            SkyPosterior::Healpix(m) => m.probabilities(),
+            SkyGrid::Raster(g) => g.pixel_solid_angle(),
+            SkyGrid::Healpix { nside } => pixel_solid_angle(*nside),
         }
     }
 
-    /// The maximum-probability direction.
-    pub fn mode(&self) -> UnitVec3 {
+    /// Center of pixel `i`.
+    pub fn center(&self, i: usize) -> UnitVec3 {
         match self {
-            SkyPosterior::Raster(m) => m.mode(),
-            SkyPosterior::Healpix(m) => m.mode(),
+            SkyGrid::Raster(g) => g.centers()[i],
+            SkyGrid::Healpix { nside } => pix2vec(*nside, i as u64),
         }
     }
 
-    /// Solid angle (sr) of the smallest pixel set holding `credibility`
-    /// of the posterior mass.
-    pub fn credible_region_sr(&self, credibility: f64) -> f64 {
+    /// Every pixel center in index order: borrowed from the raster,
+    /// computed in parallel for HEALPix.
+    pub fn centers(&self) -> Cow<'_, [UnitVec3]> {
         match self {
-            SkyPosterior::Raster(m) => m.credible_region_sr(credibility),
-            SkyPosterior::Healpix(m) => m.credible_region_sr(credibility),
+            SkyGrid::Raster(g) => Cow::Borrowed(g.centers()),
+            SkyGrid::Healpix { .. } => Cow::Owned(
+                (0..self.len())
+                    .into_par_iter()
+                    .map(|i| self.center(i))
+                    .collect(),
+            ),
         }
     }
 
-    /// Credible region as the radius (degrees) of the equal-area disc.
-    pub fn credible_radius_deg(&self, credibility: f64) -> f64 {
+    /// Index of the pixel containing `dir`, or `None` when the grid
+    /// cannot represent it: the raster covers only the upper
+    /// hemisphere.
+    pub fn pixel_of(&self, dir: UnitVec3) -> Option<usize> {
         match self {
-            SkyPosterior::Raster(m) => m.credible_radius_deg(credibility),
-            SkyPosterior::Healpix(m) => m.credible_radius_deg(credibility),
+            SkyGrid::Raster(_) if dir.as_vec().z < 0.0 => None,
+            SkyGrid::Raster(g) => Some(g.pixel_of(dir)),
+            SkyGrid::Healpix { nside } => Some(vec2pix(*nside, dir) as usize),
         }
     }
 
-    /// Posterior mass within `radius_deg` of a direction.
-    pub fn mass_within(&self, center: UnitVec3, radius_deg: f64) -> f64 {
+    /// The coarse grid at 1/[`COARSE_RATIO`] of this resolution. A
+    /// raster pixel falls into the coarse cell holding its center; a
+    /// HEALPix pixel into its nested ancestor, so every coarse cell
+    /// covers one contiguous index range.
+    pub(crate) fn coarse(&self) -> CoarseGrid {
         match self {
-            SkyPosterior::Raster(m) => m.mass_within(center, radius_deg),
-            SkyPosterior::Healpix(m) => m.mass_within(center, radius_deg),
-        }
-    }
-
-    /// Searched-mass statistic: `dir` is inside the `c`-credible region
-    /// exactly when this is below `c`.
-    pub fn searched_mass(&self, dir: UnitVec3) -> f64 {
-        match self {
-            SkyPosterior::Raster(m) => m.searched_mass(dir),
-            SkyPosterior::Healpix(m) => m.searched_mass(dir),
+            SkyGrid::Raster(fine) => {
+                let coarse = HemisphereGrid::new((fine.len() / COARSE_RATIO).max(64));
+                let radii = (0..coarse.n_belts())
+                    .flat_map(|b| {
+                        let rho = coarse.pixel_radius(b);
+                        coarse.belt_pixels(b).map(move |_| rho)
+                    })
+                    .collect();
+                let cell_of = fine
+                    .centers()
+                    .par_iter()
+                    .map(|&c| coarse.pixel_of(c))
+                    .collect();
+                CoarseGrid {
+                    grid: SkyGrid::Raster(coarse),
+                    radii,
+                    cell_of,
+                }
+            }
+            &SkyGrid::Healpix { nside } => {
+                let coarse_nside = (nside / COARSE_NSIDE_RATIO).max(1);
+                let depth = 2 * (nside / coarse_nside).trailing_zeros();
+                CoarseGrid {
+                    grid: SkyGrid::Healpix {
+                        nside: coarse_nside,
+                    },
+                    radii: vec![pixel_bound_radius(coarse_nside); npix(coarse_nside) as usize],
+                    cell_of: (0..self.len()).map(|i| i >> depth).collect(),
+                }
+            }
         }
     }
 }
@@ -256,7 +208,8 @@ impl SkyPosterior {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt_recon::RingFeatures;
+    use crate::SkyPosterior;
+    use adapt_recon::{ComptonRing, RingFeatures};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -323,9 +276,9 @@ mod tests {
         }
     }
 
-    /// Satellite check: away from the distorted polar belts and the
-    /// horizon, the two pixelizations must report the same credible
-    /// regions to within discretization tolerance.
+    /// Away from the distorted polar belts and the horizon, the two
+    /// pixelizations must report the same credible regions to within
+    /// discretization tolerance.
     #[test]
     fn raster_and_healpix_credible_regions_agree_at_mid_latitudes() {
         for (seed, polar) in [(101u64, 0.7f64), (103, 0.9), (107, 1.1)] {
@@ -358,22 +311,16 @@ mod tests {
         let source = UnitVec3::from_spherical(0.8, 2.5);
         let rings = rings_through(source, 30, 0.03, 211);
         for p in SkyPixelization::ALL {
-            let tight = SkyPosterior::from_rings_adaptive_tempered_recorded(
-                p,
-                &rings,
-                4096,
-                3.0,
-                1.0,
-                adapt_telemetry::noop(),
-            );
-            let wide = SkyPosterior::from_rings_adaptive_tempered_recorded(
-                p,
-                &rings,
-                4096,
-                3.0,
-                9.0,
-                adapt_telemetry::noop(),
-            );
+            let at = |temperature| {
+                SkyPosterior::adaptive(
+                    SkyGrid::new(p, 4096),
+                    &rings,
+                    3.0,
+                    temperature,
+                    adapt_telemetry::noop(),
+                )
+            };
+            let (tight, wide) = (at(1.0), at(9.0));
             assert!(
                 wide.credible_region_sr(0.9) > 2.0 * tight.credible_region_sr(0.9),
                 "{}: temperature 9 did not widen the 90% region",

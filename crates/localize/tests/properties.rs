@@ -1,8 +1,8 @@
 //! Property-based tests of the localization stage.
 
 use adapt_localize::{
-    angular_z, approximate, estimate_uncertainty, refine, ApproxConfig, HemisphereGrid,
-    RefineConfig, SkyMap,
+    angular_z, approximate, estimate_uncertainty, refine, ApproxConfig, RefineConfig, SkyGrid,
+    SkyPixelization, SkyPosterior,
 };
 use adapt_math::angles::angular_separation;
 use adapt_math::sampling::isotropic_direction;
@@ -29,6 +29,20 @@ fn rings_through(source: UnitVec3, n: usize, jitter: f64, seed: u64) -> Vec<Comp
             }
         })
         .collect()
+}
+
+fn raster(target_pixels: usize) -> SkyGrid {
+    SkyGrid::new(SkyPixelization::Raster, target_pixels)
+}
+
+/// Untempered flat-sweep posterior.
+fn flat(grid: SkyGrid, rings: &[ComptonRing]) -> SkyPosterior {
+    SkyPosterior::flat(grid, rings, 3.0, 1.0)
+}
+
+/// Untempered coarse-to-fine posterior.
+fn adaptive(grid: SkyGrid, rings: &[ComptonRing]) -> SkyPosterior {
+    SkyPosterior::adaptive(grid, rings, 3.0, 1.0, adapt_telemetry::noop())
 }
 
 proptest! {
@@ -103,7 +117,7 @@ proptest! {
     ) {
         let source = UnitVec3::from_spherical(polar, -1.1);
         let rings = rings_through(source, 60, 0.02, seed);
-        let map = SkyMap::from_rings(&rings, HemisphereGrid::new(1500), 3.0);
+        let map = flat(raster(1500), &rings);
         let res = refine(&rings, source, &RefineConfig::default()).unwrap();
         // the rasterized posterior peak and the least-squares solution
         // describe the same burst: within a few pixel widths
@@ -129,10 +143,10 @@ proptest! {
         // side of the probability cut).
         let source = UnitVec3::from_spherical(polar, az);
         let rings = rings_through(source, n, 0.02, seed);
-        let grid = HemisphereGrid::new(10_000);
+        let grid = raster(10_000);
         let px_sr = grid.pixel_solid_angle();
-        let brute = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adaptive = SkyMap::from_rings_adaptive(&rings, grid, 3.0);
+        let brute = flat(grid.clone(), &rings);
+        let adaptive = adaptive(grid, &rings);
         for credibility in [0.5, 0.9, 0.99] {
             let a = brute.credible_region_sr(credibility);
             let b = adaptive.credible_region_sr(credibility);
@@ -160,13 +174,13 @@ proptest! {
         // portable kernel bit for bit — not just to tolerance
         let source = UnitVec3::from_spherical(polar, az);
         let rings = rings_through(source, n, 0.02, seed);
-        let grid = HemisphereGrid::new(6_000);
+        let grid = raster(6_000);
         adapt_nn::set_force_portable(false);
-        let flat_v = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adap_v = SkyMap::from_rings_adaptive(&rings, grid.clone(), 3.0);
+        let flat_v = flat(grid.clone(), &rings);
+        let adap_v = adaptive(grid.clone(), &rings);
         adapt_nn::set_force_portable(true);
-        let flat_p = SkyMap::from_rings(&rings, grid.clone(), 3.0);
-        let adap_p = SkyMap::from_rings_adaptive(&rings, grid, 3.0);
+        let flat_p = flat(grid.clone(), &rings);
+        let adap_p = adaptive(grid, &rings);
         adapt_nn::set_force_portable(
             std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
         );

@@ -698,10 +698,11 @@ fn dot_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
 
 // ---------------------------------------------------------------------
 // The vectorized cone sweep: the robust cone log-likelihood hot loop,
-// shared by three users — the raster (`adapt_localize::SkyMap`) and
-// HEALPix (`adapt_healpix::HealpixSkyMap`) pixelizations, and the
-// localizer's approximation stage (`adapt_localize::approximate`),
-// which scores its cone-sampled candidate directions as one plane.
+// shared by two users — the posterior sky map
+// (`adapt_localize::SkyPosterior`, on either the raster or the HEALPix
+// pixelization) and the localizer's approximation stage
+// (`adapt_localize::approximate`), which scores its cone-sampled
+// candidate directions as one plane.
 // Each user precomputes one [`ConeGeom`] per Compton ring and
 // accumulates the robust cone log-likelihood over a plane of candidate
 // directions; keeping the sweep here guarantees the pixelizations (and

@@ -24,8 +24,8 @@ use crate::scheduler::{EpochScheduler, ScheduledEpoch, COST_PRIORS_MS};
 use crate::trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch};
 use adapt_core::training::TrainedModels;
 use adapt_localize::{
-    estimate_uncertainty, BaselineLocalizer, InferenceWorkspace, LocalizerConfig, MlLocalizer,
-    MlPipelineConfig, SkyPixelization, SkyPosterior,
+    default_temperature, estimate_uncertainty, BaselineLocalizer, InferenceWorkspace,
+    LocalizerConfig, MlLocalizer, MlPipelineConfig, SkyGrid, SkyPixelization, SkyPosterior,
 };
 use adapt_math::stats::quantile_ceil_rank;
 use adapt_math::vec3::UnitVec3;
@@ -356,8 +356,8 @@ pub struct EpochLocalizer<'a> {
     full_ml: MlLocalizer<'a>,
     reduced_ml: MlLocalizer<'a>,
     baseline: BaselineLocalizer,
-    coarse_pixels: usize,
-    pixelization: SkyPixelization,
+    /// The coarse-skymap rung's pixel grid.
+    coarse_grid: SkyGrid,
     pub(crate) recorder: &'a dyn Recorder,
 }
 
@@ -397,8 +397,7 @@ impl<'a> EpochLocalizer<'a> {
             full_ml,
             reduced_ml,
             baseline: BaselineLocalizer::new(LocalizerConfig::default()),
-            coarse_pixels,
-            pixelization,
+            coarse_grid: SkyGrid::new(pixelization, coarse_pixels),
             recorder,
         }
     }
@@ -437,11 +436,11 @@ impl<'a> EpochLocalizer<'a> {
                     .localize_with(&rings, rng, ws)
                     .map(|r| (r.direction, r.surviving_rings, None)),
                 DegradationLevel::CoarseSkymap => {
-                    let map = SkyPosterior::from_rings_adaptive_recorded(
-                        self.pixelization,
+                    let map = SkyPosterior::adaptive(
+                        self.coarse_grid.clone(),
                         &rings,
-                        self.coarse_pixels,
                         3.0,
+                        default_temperature(rings.len()),
                         recorder,
                     );
                     Some((map.mode(), rings.len(), Some(map.credible_radius_deg(0.9))))
