@@ -488,13 +488,33 @@ mod tests {
     }
 
     #[test]
+    fn probabilities_normalize_to_one() {
+        let source = UnitVec3::from_spherical(0.7, 1.2);
+        let rings = rings_through(source, 20, 0.03, 7);
+        for p in SkyPixelization::ALL {
+            for target in [256, 4096] {
+                let flat = SkyPosterior::flat(grid(p, target), &rings, 3.0, 1.0);
+                let refined = adaptive(grid(p, target), &rings, 1.0);
+                for map in [flat, refined] {
+                    assert_eq!(map.len(), map.grid().len());
+                    let total: f64 = map.probabilities().iter().sum();
+                    assert!(
+                        (total - 1.0).abs() < 1e-9,
+                        "{} at {target}: total {total}",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn probabilities_normalized_and_mass_within_covers() {
         let source = UnitVec3::from_spherical(0.4, 2.0);
         let rings = rings_through(source, 50, 0.02, 4);
         for p in SkyPixelization::ALL {
             for target in [256, 4096] {
                 let map = SkyPosterior::flat(grid(p, target), &rings, 3.0, 1.0);
-                assert_eq!(map.len(), map.grid().len());
                 let total: f64 = map.probabilities().iter().sum();
                 assert!((total - 1.0).abs() < 1e-9, "{}: total {total}", p.name());
                 // nearly all mass within 20 degrees of the source for
@@ -505,6 +525,9 @@ mod tests {
                     "{} at {target}: mass near source {near}",
                     p.name()
                 );
+                // a 180 degree cap about the zenith covers every pixel
+                let all = map.mass_within(UnitVec3::PLUS_Z, 180.0);
+                assert!((all - 1.0).abs() < 1e-9, "{}: cap {all}", p.name());
             }
         }
     }
@@ -550,31 +573,43 @@ mod tests {
     }
 
     #[test]
-    fn credible_regions_are_nested_and_bounded() {
+    fn credible_region_grows_with_credibility_and_uncertainty() {
         let source = UnitVec3::from_spherical(0.3, -0.5);
         let tight_rings = rings_through(source, 80, 0.01, 2);
         let loose_rings = rings_through(source, 20, 0.08, 3);
         for p in SkyPixelization::ALL {
             let tight = adaptive(grid(p, 4096), &tight_rings, 1.0);
             let loose = adaptive(grid(p, 4096), &loose_rings, 1.0);
-            let r50 = tight.credible_region_sr(0.5);
-            let r68 = tight.credible_region_sr(0.68);
-            let r90 = tight.credible_region_sr(0.9);
-            let r95 = tight.credible_region_sr(0.95);
-            assert!(r50 <= r68 && r68 <= r90 && r90 <= r95, "{}", p.name());
-            assert!(r95 <= 4.0 * std::f64::consts::PI);
+            assert!(tight.credible_region_sr(0.9) >= tight.credible_region_sr(0.5));
             // more uncertain rings give a wider region
-            let loose90 = loose.credible_region_sr(0.9);
+            let (loose90, tight90) = (loose.credible_region_sr(0.9), tight.credible_region_sr(0.9));
             assert!(
-                loose90 > r90,
-                "{}: loose {loose90} !> tight {r90}",
+                loose90 > tight90,
+                "{}: loose {loose90} !> tight {tight90}",
                 p.name()
             );
-            // radii are consistent transformations: an 80-ring
-            // localization is tight, and the whole map is at most 180°
+            assert!(loose.credible_radius_deg(0.9) > tight.credible_radius_deg(0.9));
+            // radii are consistent transformations
             assert!(tight.credible_radius_deg(0.9) > 0.0);
-            assert!(tight.credible_radius_deg(0.9) < 10.0);
-            assert!(tight.credible_radius_deg(1.0) <= 180.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn credible_regions_are_nested_and_bounded() {
+        let source = UnitVec3::from_spherical(0.5, 0.0);
+        let rings = rings_through(source, 30, 0.03, 3);
+        for p in SkyPixelization::ALL {
+            let map = adaptive(grid(p, 4096), &rings, 1.0);
+            let r50 = map.credible_region_sr(0.5);
+            let r68 = map.credible_region_sr(0.68);
+            let r90 = map.credible_region_sr(0.9);
+            let r95 = map.credible_region_sr(0.95);
+            assert!(r50 <= r68 && r68 <= r90 && r90 <= r95, "{}", p.name());
+            assert!(r95 <= 4.0 * std::f64::consts::PI);
+            // a 30-ring localization is tight, and the whole map is at
+            // most 180°
+            assert!(map.credible_radius_deg(0.9) < 10.0, "{}", p.name());
+            assert!(map.credible_radius_deg(1.0) <= 180.0 + 1e-9);
         }
     }
 
@@ -640,6 +675,40 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_matches_flat_sweep() {
+        let source = UnitVec3::from_spherical(0.45, 1.2);
+        let rings = rings_through(source, 70, 0.02, 12);
+        for p in SkyPixelization::ALL {
+            let flat = SkyPosterior::flat(grid(p, 12_000), &rings, 3.0, 1.0);
+            let adaptive = adaptive(grid(p, 12_000), &rings, 1.0);
+            let tol = flat.grid().pixel_solid_angle();
+            for cred in [0.5, 0.9, 0.99] {
+                let a = flat.credible_region_sr(cred);
+                let b = adaptive.credible_region_sr(cred);
+                assert!(
+                    (a - b).abs() <= tol + 1e-12,
+                    "{} {cred}: flat {a} sr vs adaptive {b} sr",
+                    p.name()
+                );
+            }
+            assert!(flat.mode().angle_to(adaptive.mode()).to_degrees() < 1.0);
+            // inherited pixels carry negligible mass, so the normalized
+            // maps agree everywhere
+            let total_diff: f64 = flat
+                .probabilities()
+                .iter()
+                .zip(adaptive.probabilities())
+                .map(|(x, y)| (x - y).abs())
+                .sum();
+            assert!(
+                total_diff < 1e-9,
+                "{}: probability L1 difference {total_diff}",
+                p.name()
+            );
+        }
+    }
+
+    #[test]
     fn random_cone_sets_keep_adaptive_and_flat_consistent() {
         // Randomized geometries: jitter, multiplicity and source vary;
         // the adaptive mode and credible regions must match the flat
@@ -682,37 +751,76 @@ mod tests {
         }
     }
 
+    /// Run `f` once on the portable kernels and once on the detected
+    /// ISA, then restore the env-derived default for the rest of the
+    /// binary.
+    fn under_both_dispatch_modes<T>(f: impl Fn() -> T) -> (T, T) {
+        adapt_nn::simd::set_force_portable(true);
+        let portable = f();
+        adapt_nn::simd::set_force_portable(false);
+        let vector = f();
+        let env_forced = std::env::var("ADAPT_FORCE_PORTABLE")
+            .map(|v| v == "1")
+            .unwrap_or(false);
+        adapt_nn::simd::set_force_portable(env_forced);
+        (portable, vector)
+    }
+
     #[test]
     fn simd_sweep_bit_identical_to_portable() {
         let source = UnitVec3::from_spherical(0.35, 0.8);
         let rings = rings_through(source, 40, 0.03, 21);
         for p in SkyPixelization::ALL {
-            let run = || {
+            let (portable, vector) = under_both_dispatch_modes(|| {
                 (
                     SkyPosterior::flat(grid(p, 3000), &rings, 3.0, 1.0),
                     adaptive(grid(p, 8000), &rings, 1.0),
                 )
-            };
-            adapt_nn::simd::set_force_portable(true);
-            let (p_flat, p_adaptive) = run();
-            adapt_nn::simd::set_force_portable(false);
-            let (v_flat, v_adaptive) = run();
-            // restore the env-derived default for the rest of the binary
-            let env_forced = std::env::var("ADAPT_FORCE_PORTABLE")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-            adapt_nn::simd::set_force_portable(env_forced);
+            });
             let name = p.name();
             assert_eq!(
-                p_flat.probabilities(),
-                v_flat.probabilities(),
+                portable.0.probabilities(),
+                vector.0.probabilities(),
                 "{name} flat"
             );
             assert_eq!(
-                p_adaptive.probabilities(),
-                v_adaptive.probabilities(),
+                portable.1.probabilities(),
+                vector.1.probabilities(),
                 "{name} adaptive"
             );
+        }
+    }
+
+    #[test]
+    fn adaptive_matches_flat_posterior_under_both_dispatch_modes() {
+        // The flat/adaptive agreement holds on the portable kernels as
+        // well as on the detected ISA, not just on whichever one the
+        // host dispatches to.
+        let source = UnitVec3::from_spherical(0.8, 5.5);
+        let rings = rings_through(source, 30, 0.025, 29);
+        for p in SkyPixelization::ALL {
+            let (portable, vector) = under_both_dispatch_modes(|| {
+                (
+                    SkyPosterior::flat(grid(p, 12_000), &rings, 3.0, 1.0),
+                    adaptive(grid(p, 12_000), &rings, 1.0),
+                )
+            });
+            for (flat, adaptive) in [portable, vector] {
+                // mode compared by probability: normalization totals differ
+                let p_flat = flat.probabilities();
+                let flat_peak = p_flat.iter().cloned().fold(0.0f64, f64::max);
+                let at_mode = p_flat[flat.grid().pixel_of(adaptive.mode()).unwrap()];
+                assert!(at_mode >= flat_peak * (1.0 - 1e-9), "{}", p.name());
+                for c in [0.68, 0.90, 0.95] {
+                    let a = flat.credible_region_sr(c);
+                    let b = adaptive.credible_region_sr(c);
+                    assert!(
+                        (a - b).abs() <= flat.grid().pixel_solid_angle() + 1e-12,
+                        "{} credible region mismatch at {c}: {a} vs {b}",
+                        p.name()
+                    );
+                }
+            }
         }
     }
 
@@ -731,6 +839,27 @@ mod tests {
                 p.name()
             );
         }
+    }
+
+    #[test]
+    fn small_nside_falls_back_to_flat() {
+        // The 1024-pixel minimum keeps the HEALPix decision at
+        // `nside < 16`: every smaller nside is swept flat (bit-identical)
+        // and nside 16 is the first grid refined coarse-to-fine.
+        let source = UnitVec3::from_spherical(0.4, 1.0);
+        let rings = rings_through(source, 15, 0.04, 31);
+        for nside in [1u32, 2, 4, 8] {
+            let grid = SkyGrid::Healpix { nside };
+            assert!(grid.len() < MIN_ADAPTIVE_PIXELS);
+            let flat = SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0);
+            let adaptive = adaptive(grid, &rings, 1.0);
+            assert_eq!(
+                flat.probabilities(),
+                adaptive.probabilities(),
+                "nside {nside}"
+            );
+        }
+        assert!(SkyGrid::Healpix { nside: 16 }.len() >= MIN_ADAPTIVE_PIXELS);
     }
 
     #[test]
