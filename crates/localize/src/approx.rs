@@ -3,20 +3,21 @@
 //! return the candidate maximizing the joint robust likelihood of all
 //! rings.
 //!
-//! Candidates are drawn first, into one plane, and then scored in a
-//! single call to the shared vectorized cone sweep
-//! ([`adapt_nn::simd::sweep_cone_logls`]) — the same kernel the sky maps
-//! rasterize with. Each ring's cone geometry is computed once per call
-//! with dη floored at [`ApproxConfig::d_eta_floor`]. The sweep adds the
-//! per-ring robust terms in ring order with the scalar likelihood's
-//! arithmetic, so the winning direction is bit-identical to scoring each
+//! Candidates are drawn first, into one plane, and then handed to the
+//! shared cone-likelihood argmax ([`adapt_nn::simd::argmax_cone_logl`]).
+//! Each ring's cone geometry is computed once per call with dη floored
+//! at [`ApproxConfig::d_eta_floor`]. The kernel screens every candidate
+//! with a bounded-error polynomial `acos` and re-scores exactly only the
+//! candidates its error margin cannot rule out, adding the per-ring
+//! robust terms in ring order with the scalar likelihood's arithmetic.
+//! The winning direction is therefore bit-identical to scoring each
 //! candidate with [`crate::likelihood::angular_z`], and the draw order
 //! (hence the caller's RNG state afterwards) is unchanged.
 
 use crate::skymap::ring_cone_geom;
 use adapt_math::rotation::deflect;
 use adapt_math::vec3::UnitVec3;
-use adapt_nn::simd::sweep_cone_logls;
+use adapt_nn::simd::argmax_cone_logl;
 use adapt_recon::ComptonRing;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -96,16 +97,7 @@ pub fn approximate<R: Rng + ?Sized>(
         .map(|r| ring_cone_geom(r, r.d_eta.max(config.d_eta_floor), config.floor_z))
         .collect();
     let floor_const = -0.5 * config.floor_z * config.floor_z;
-    let logls = sweep_cone_logls(&geoms, &candidates, floor_const);
-
-    // first strict maximum, as the draw order presents them
-    let mut best: Option<(UnitVec3, f64)> = None;
-    for (&candidate, &ll) in candidates.iter().zip(&logls) {
-        if best.map(|(_, b)| ll > b).unwrap_or(true) {
-            best = Some((candidate, ll));
-        }
-    }
-    best
+    argmax_cone_logl(&geoms, &candidates, floor_const).map(|(i, ll)| (candidates[i], ll))
 }
 
 #[cfg(test)]
@@ -271,13 +263,14 @@ mod tests {
             .collect()
     }
 
-    /// The vectorized scoring picks the scalar loop's direction bit for
+    /// The screened argmax picks the scalar loop's direction bit for
     /// bit, on both dispatch paths, with and without the hemisphere cut
-    /// (without it the default draws 1536 candidates, past one sweep
-    /// chunk, so the threaded split is covered too). `ll` is compared by
-    /// value: the scalar `Sum` of an all-`-0.0` column is `-0.0` while
-    /// the sweep's accumulator starts at `+0.0`; the two are equal and
-    /// order the same under the strict `>` argmax.
+    /// (without it the default draws 1536 candidates, 192 full 8-wide
+    /// screen blocks; the cut leaves arbitrary counts, so the portable
+    /// tail after the blocks runs too). `ll` is
+    /// compared by value: the scalar `Sum` of an all-`-0.0` column is
+    /// `-0.0` while the kernel's accumulator starts at `+0.0`; the two
+    /// are equal and order the same under the strict `>` argmax.
     #[test]
     fn vectorized_scoring_matches_scalar_loop() {
         let env_forced = std::env::var("ADAPT_FORCE_PORTABLE")

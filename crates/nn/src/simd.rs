@@ -697,18 +697,25 @@ fn dot_f64_scalar(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// The vectorized cone sweep: the robust cone log-likelihood hot loop,
-// shared by two users — the posterior sky map
-// (`adapt_localize::SkyPosterior`, on either the raster or the HEALPix
-// pixelization) and the localizer's approximation stage
-// (`adapt_localize::approximate`), which scores its cone-sampled
-// candidate directions as one plane.
-// Each user precomputes one [`ConeGeom`] per Compton ring and
-// accumulates the robust cone log-likelihood over a plane of candidate
-// directions; keeping the sweep here guarantees the pixelizations (and
-// the coarse-to-fine refinement passes built on them) and the
-// approximation stage score with the *same* arithmetic, bit for bit,
-// on every dispatch path.
+// The cone log-likelihood kernels: the robust cone log-likelihood hot
+// loop, in two shapes over one piece of arithmetic.
+//
+// * `sweep_cone_logls` scores every direction of a plane exactly. The
+//   posterior sky map (`adapt_localize::SkyPosterior`, on either the
+//   raster or the HEALPix pixelization) needs every pixel's value.
+// * `argmax_cone_logl` returns only the best direction of a plane, the
+//   question the localizer's approximation stage
+//   (`adapt_localize::approximate`) asks of its cone-sampled candidates.
+//   It screens the plane with a bounded-error polynomial `acos`, then
+//   re-scores only the candidates the error bound cannot rule out with
+//   `ConeGeom::point_logl`, so the winner and its value are exactly what
+//   the sweep's argmax would give.
+//
+// Each user precomputes one [`ConeGeom`] per Compton ring; the exact
+// scores of both kernels come from `ConeGeom::point_logl`'s arithmetic
+// summed in ring order, so the pixelizations (and the coarse-to-fine
+// refinement passes built on them) and the approximation stage agree bit
+// for bit on every dispatch path.
 
 use adapt_math::vec3::UnitVec3;
 use rayon::prelude::*;
@@ -909,6 +916,320 @@ unsafe fn sweep_cone_chunk_avx2(
     }
 }
 
+/// Abramowitz & Stegun 4.4.46: `acos x = √(1−x)·P₇(x) + e(x)` on
+/// `[0, 1]`, quoted there as `|e| ≤ 2·10⁻⁸`. Coefficients in ascending
+/// order.
+const ACOS_P7: [f64; 8] = [
+    1.570_796_305_0,
+    -0.214_598_801_6,
+    0.088_978_987_4,
+    -0.050_174_304_6,
+    0.030_891_881_0,
+    -0.017_088_125_6,
+    0.006_670_090_1,
+    -0.001_262_491_1,
+];
+
+/// Angle-space error bound (radians) the screen's margin assumes per
+/// ring. [`acos_screen`]'s measured maximum error against `f64::acos`,
+/// f64 evaluation rounding included, is 2.18·10⁻⁸ over `[−1, 1]`, at
+/// `x = 0` where it is `ACOS_P7[0] − π/2`. The other per-ring
+/// differences between a screen term and [`ConeGeom::point_logl`]
+/// (multiplying by a rounded `1/σ` instead of dividing, `acos`
+/// rounding, the exact path's cosine-space skip test) are a few ulps.
+/// This constant leaves at least 2× headroom over their sum, and the
+/// polynomial bound test pins the measured error at no more than half
+/// of it.
+const SCREEN_ACOS_EPS: f64 = 5e-8;
+
+/// The screen's polynomial `acos`, reflected as `π − acos|x|` for
+/// `x < 0`. Horner steps are separate multiplies and adds (no FMA), so
+/// the AVX2 arm reproduces it lane for lane.
+#[inline]
+fn acos_screen(x: f64) -> f64 {
+    let ax = x.abs();
+    let mut p = ACOS_P7[7];
+    for &c in ACOS_P7[..7].iter().rev() {
+        p = p * ax + c;
+    }
+    let r = (1.0 - ax).sqrt() * p;
+    if x < 0.0 {
+        std::f64::consts::PI - r
+    } else {
+        r
+    }
+}
+
+/// The screen's view of a ring set: structure-of-arrays planes of the
+/// cone axes, opening angles and inverse angular sigmas, swept in the
+/// screen's inner loop.
+struct ScreenRings {
+    ax: Vec<f64>,
+    ay: Vec<f64>,
+    az: Vec<f64>,
+    theta: Vec<f64>,
+    inv_sigma: Vec<f64>,
+}
+
+impl ScreenRings {
+    fn new(geoms: &[ConeGeom]) -> Self {
+        let mut r = ScreenRings {
+            ax: Vec::with_capacity(geoms.len()),
+            ay: Vec::with_capacity(geoms.len()),
+            az: Vec::with_capacity(geoms.len()),
+            theta: Vec::with_capacity(geoms.len()),
+            inv_sigma: Vec::with_capacity(geoms.len()),
+        };
+        for g in geoms {
+            let a = g.axis.as_vec();
+            r.ax.push(a.x);
+            r.ay.push(a.y);
+            r.az.push(a.z);
+            r.theta.push(g.cone_theta);
+            r.inv_sigma.push(1.0 / g.sigma);
+        }
+        r
+    }
+}
+
+/// One candidate's screen score: [`ConeGeom::point_logl`]'s arithmetic
+/// with [`acos_screen`] in place of `acos` and no skip test, summed in
+/// ring order from `0.0`. The portable arm and the AVX2 tail.
+#[inline]
+fn screen_point(rings: &ScreenRings, x: f64, y: f64, z: f64, floor_const: f64) -> f64 {
+    // equal-length slices let the compiler drop the bounds checks
+    let n = rings.ax.len();
+    let (ay, az) = (&rings.ay[..n], &rings.az[..n]);
+    let (theta, inv_sigma) = (&rings.theta[..n], &rings.inv_sigma[..n]);
+    let mut acc = 0.0;
+    for (r, &ax) in rings.ax.iter().enumerate() {
+        let dot = (ax * x + ay[r] * y + az[r] * z).clamp(-1.0, 1.0);
+        let zz = (acos_screen(dot) - theta[r]) * inv_sigma[r];
+        acc += (-0.5 * zz * zz).max(floor_const);
+    }
+    acc
+}
+
+/// Screen a plane of candidates, dispatched by ISA. Both arms run the
+/// same operations in the same order.
+#[allow(unused_variables)]
+fn screen_plane(
+    rings: &ScreenRings,
+    px: &[f64],
+    py: &[f64],
+    pz: &[f64],
+    floor_const: f64,
+    isa: KernelIsa,
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx2 {
+        // SAFETY: AVX2 verified by runtime dispatch; px/py/pz/out all
+        // have the plane's length by construction in `screen_cone_logls`.
+        unsafe { screen_plane_avx2(rings, px, py, pz, floor_const, out) };
+        return;
+    }
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = screen_point(rings, px[i], py[i], pz[i], floor_const);
+    }
+}
+
+/// AVX2 screen: candidates in blocks of 8 (two vectors) in the outer
+/// loop, the ring planes in the inner loop, so the block's components
+/// and both accumulators stay in registers. The tail runs on
+/// [`screen_point`].
+///
+/// # Safety
+/// AVX2 required (runtime-dispatched). `px`, `py`, `pz`, `out` must
+/// share one length; vector loads stop at `n/8*8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn screen_plane_avx2(
+    rings: &ScreenRings,
+    px: &[f64],
+    py: &[f64],
+    pz: &[f64],
+    floor_const: f64,
+    out: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let n = out.len();
+    debug_assert!(px.len() == n && py.len() == n && pz.len() == n);
+    let n8 = n / 8 * 8;
+    let nr = rings.ax.len();
+    let zero = _mm256_setzero_pd();
+    let mut i = 0;
+    while i < n8 {
+        let x0 = _mm256_loadu_pd(px.as_ptr().add(i));
+        let y0 = _mm256_loadu_pd(py.as_ptr().add(i));
+        let z0 = _mm256_loadu_pd(pz.as_ptr().add(i));
+        let x1 = _mm256_loadu_pd(px.as_ptr().add(i + 4));
+        let y1 = _mm256_loadu_pd(py.as_ptr().add(i + 4));
+        let z1 = _mm256_loadu_pd(pz.as_ptr().add(i + 4));
+        let mut acc0 = zero;
+        let mut acc1 = zero;
+        // r < nr = rings.ax.len(), as `screen_term_avx2` requires
+        for r in 0..nr {
+            acc0 = _mm256_add_pd(acc0, screen_term_avx2(rings, r, x0, y0, z0, floor_const));
+            acc1 = _mm256_add_pd(acc1, screen_term_avx2(rings, r, x1, y1, z1, floor_const));
+        }
+        _mm256_storeu_pd(out.as_mut_ptr().add(i), acc0);
+        _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), acc1);
+        i += 8;
+    }
+    for i in n8..n {
+        out[i] = screen_point(rings, px[i], py[i], pz[i], floor_const);
+    }
+}
+
+/// One ring's screen term for four candidates, in [`screen_point`]'s
+/// operation order.
+///
+/// # Safety
+/// AVX2 required; `r < rings.ax.len()`. `ScreenRings::new` fills all
+/// five planes together, so that bound covers every plane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn screen_term_avx2(
+    rings: &ScreenRings,
+    r: usize,
+    x: std::arch::x86_64::__m256d,
+    y: std::arch::x86_64::__m256d,
+    z: std::arch::x86_64::__m256d,
+    floor_const: f64,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    let d = _mm256_add_pd(
+        _mm256_add_pd(
+            _mm256_mul_pd(_mm256_broadcast_sd(rings.ax.get_unchecked(r)), x),
+            _mm256_mul_pd(_mm256_broadcast_sd(rings.ay.get_unchecked(r)), y),
+        ),
+        _mm256_mul_pd(_mm256_broadcast_sd(rings.az.get_unchecked(r)), z),
+    );
+    let d = _mm256_min_pd(_mm256_max_pd(d, _mm256_set1_pd(-1.0)), _mm256_set1_pd(1.0));
+    let ad = _mm256_andnot_pd(_mm256_set1_pd(-0.0), d);
+    let mut p = _mm256_set1_pd(ACOS_P7[7]);
+    for &c in ACOS_P7[..7].iter().rev() {
+        p = _mm256_add_pd(_mm256_mul_pd(p, ad), _mm256_set1_pd(c));
+    }
+    let a = _mm256_mul_pd(_mm256_sqrt_pd(_mm256_sub_pd(_mm256_set1_pd(1.0), ad)), p);
+    let neg = _mm256_cmp_pd::<_CMP_LT_OQ>(d, _mm256_setzero_pd());
+    let a = _mm256_blendv_pd(
+        a,
+        _mm256_sub_pd(_mm256_set1_pd(std::f64::consts::PI), a),
+        neg,
+    );
+    let zz = _mm256_mul_pd(
+        _mm256_sub_pd(a, _mm256_broadcast_sd(rings.theta.get_unchecked(r))),
+        _mm256_broadcast_sd(rings.inv_sigma.get_unchecked(r)),
+    );
+    _mm256_max_pd(
+        _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(-0.5), zz), zz),
+        _mm256_set1_pd(floor_const),
+    )
+}
+
+/// Screen scores of every center, on one thread: the approximation
+/// stage's plane is about a thousand candidates, well inside one
+/// [`CONE_SWEEP_CHUNK`].
+fn screen_cone_logls(
+    rings: &ScreenRings,
+    centers: &[UnitVec3],
+    floor_const: f64,
+    isa: KernelIsa,
+) -> Vec<f64> {
+    let (mut px, mut py, mut pz) = (
+        Vec::with_capacity(centers.len()),
+        Vec::with_capacity(centers.len()),
+        Vec::with_capacity(centers.len()),
+    );
+    for c in centers {
+        let v = c.as_vec();
+        px.push(v.x);
+        py.push(v.y);
+        pz.push(v.z);
+    }
+    let mut scores = vec![0.0f64; centers.len()];
+    screen_plane(rings, &px, &py, &pz, floor_const, isa, &mut scores);
+    scores
+}
+
+/// The margin `E` that bounds `|screen score − exact score|` for every
+/// candidate: with `δᵢ = ε/σᵢ` ([`SCREEN_ACOS_EPS`]) and
+/// `F = floor_const = −½·floor_z²`,
+/// `E = Σᵢ δᵢ(floor_z + δᵢ) + 2·γₙ·n·|F|`.
+///
+/// The first sum bounds the per-ring terms: a ring's residual moves by
+/// at most `δᵢ` in sigma units, and the floored Gaussian
+/// `max(−½z², F)` changes by at most `δ(floor_z + δ)` when `z` moves by
+/// `δ` (it is flat past `floor_z`). The second bounds the rounding of
+/// the two ring-order sums: each adds `n` terms in `[F, 0]`, so each
+/// errs by at most `γₙ·n·|F|`, `γₙ = n·u/(1 − n·u)`.
+fn screen_margin(geoms: &[ConeGeom], floor_const: f64) -> f64 {
+    let floor_z = (-2.0 * floor_const).max(0.0).sqrt();
+    let n = geoms.len() as f64;
+    let nu = n * f64::EPSILON / 2.0;
+    let gamma_n = nu / (1.0 - nu);
+    let rings: f64 = geoms
+        .iter()
+        .map(|g| {
+            let delta = SCREEN_ACOS_EPS / g.sigma;
+            delta * (floor_z + delta)
+        })
+        .sum();
+    rings + 2.0 * gamma_n * n * floor_const.abs()
+}
+
+/// The first strict maximum of the joint robust log-likelihood over
+/// `centers`, with its exact value: the index and the bits of
+/// `sweep_cone_logls(geoms, centers, floor_const)`'s first strict
+/// maximum, or `None` for an empty plane.
+///
+/// 1. *Screen.* Every candidate gets a score `S` from a polynomial
+///    `acos` with a proven error bound (AVX2 blocks of 8, or the
+///    portable arm).
+/// 2. *Margin.* `screen_margin` bounds `|S_k − L_k| ≤ E` for every
+///    candidate `k`, where `L_k` is the exact score the sweep returns.
+/// 3. *Verify.* Candidates with `S ≥ max S − 2E` are re-scored, in
+///    plane order, with [`ConeGeom::point_logl`] summed in ring order
+///    from `0.0` — the sweep's own arithmetic on both dispatch paths —
+///    and the first strict maximum of those exact scores is returned.
+///
+/// *The winner always survives, with its bits.* Let `w` be the sweep's
+/// first strict maximum. For every candidate `k`,
+/// `S_w ≥ L_w − E ≥ L_k − E ≥ S_k − 2E`, so `S_w ≥ max S − 2E` and `w`
+/// is re-scored, with exactly the sweep's value. Every survivor before
+/// `w` has `L < L_w` (`w` is the first maximum) and every one after it
+/// has `L ≤ L_w`, so the strict-`>` scan over survivors in plane order
+/// lands on `w`; among tied maxima the earliest index wins, as in the
+/// sweep. The 2× headroom of the error constant also absorbs the
+/// rounding of `E` and of the cut itself. When every candidate survives
+/// the cost is that of the exact sweep plus the screen.
+pub fn argmax_cone_logl(
+    geoms: &[ConeGeom],
+    centers: &[UnitVec3],
+    floor_const: f64,
+) -> Option<(usize, f64)> {
+    let scores = screen_cone_logls(&ScreenRings::new(geoms), centers, floor_const, active_isa());
+    let max_score = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let cut = max_score - 2.0 * screen_margin(geoms, floor_const);
+    let mut best: Option<(usize, f64)> = None;
+    for (i, (c, &s)) in centers.iter().zip(&scores).enumerate() {
+        if s < cut {
+            continue;
+        }
+        let v = c.as_vec();
+        let ll = geoms
+            .iter()
+            .fold(0.0, |acc, g| acc + g.point_logl(v.x, v.y, v.z, floor_const));
+        if best.is_none_or(|(_, b)| ll > b) {
+            best = Some((i, ll));
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,5 +1289,205 @@ mod tests {
         assert_eq!(p, vec![0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]);
         // tail-only shapes pack nothing
         assert!(pack_f64_quads(&w[..6], 2, 3).is_empty());
+    }
+
+    /// A ring's cone geometry as the localizer builds it
+    /// (`adapt_localize::likelihood::cone_geometry`): dη floored at
+    /// `MIN_D_ETA = 1e-4`, `sin θ` floored at 0.05.
+    fn cone(axis: UnitVec3, eta: f64, d_eta: f64, floor_z: f64) -> ConeGeom {
+        let eta = eta.clamp(-1.0, 1.0);
+        let cone_theta = eta.acos();
+        let sigma = d_eta.max(1e-4) / cone_theta.sin().max(0.05);
+        ConeGeom {
+            axis,
+            eta,
+            cone_theta,
+            sigma,
+            skip_gap: floor_z * sigma,
+        }
+    }
+
+    /// `n` rings around a hidden source: a sixth pass through it, a sixth
+    /// have η = ±1, a sixth sit at the `sin θ` floor, the rest are
+    /// random; every fourth has dη at `MIN_D_ETA`. Returns the cones and
+    /// `m` candidates: isotropic, exactly on a cone (or a cone's axis),
+    /// near the source, and near-duplicates of earlier candidates.
+    fn screen_case(n: usize, m: usize, seed: u64, floor_z: f64) -> (Vec<ConeGeom>, Vec<UnitVec3>) {
+        use adapt_math::rotation::deflect;
+        use adapt_math::sampling::{isotropic_direction, standard_normal};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let source = isotropic_direction(&mut rng);
+        let geoms: Vec<ConeGeom> = (0..n)
+            .map(|i| {
+                let axis = isotropic_direction(&mut rng);
+                let d_eta = if i % 4 == 0 {
+                    1e-4
+                } else {
+                    rng.gen_range(0.005..0.3)
+                };
+                let sign = if (i / 6) % 2 == 0 { 1.0 } else { -1.0 };
+                let eta = match i % 6 {
+                    0 => axis.cos_angle_to(source) + d_eta * standard_normal(&mut rng),
+                    1 => sign,
+                    2 => sign * 0.03f64.cos(),
+                    _ => rng.gen_range(-1.0..1.0),
+                };
+                cone(axis, eta, d_eta, floor_z)
+            })
+            .collect();
+        let mut centers: Vec<UnitVec3> = Vec::with_capacity(m);
+        for j in 0..m {
+            let c = match j % 5 {
+                0 => isotropic_direction(&mut rng),
+                1 => {
+                    let g = &geoms[j % n];
+                    deflect(
+                        g.axis,
+                        g.cone_theta,
+                        rng.gen_range(0.0..std::f64::consts::TAU),
+                    )
+                }
+                2 => geoms[j % n].axis,
+                3 => deflect(
+                    source,
+                    rng.gen_range(0.0..0.02),
+                    rng.gen_range(0.0..std::f64::consts::TAU),
+                ),
+                _ => deflect(
+                    centers[j / 2],
+                    1e-9 * (j % 7) as f64,
+                    rng.gen_range(0.0..std::f64::consts::TAU),
+                ),
+            };
+            centers.push(c);
+        }
+        (geoms, centers)
+    }
+
+    /// The sweep's first strict maximum: the answer `argmax_cone_logl`
+    /// must reproduce.
+    fn sweep_argmax(logls: &[f64]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &ll) in logls.iter().enumerate() {
+            if best.is_none_or(|(_, b)| ll > b) {
+                best = Some((i, ll));
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn acos_screen_error_is_within_half_the_margin_constant() {
+        let steps = 10_000_000u32;
+        let mut worst = (0.0f64, 0.0f64);
+        let mut check = |x: f64| {
+            let err = (acos_screen(x) - x.acos()).abs();
+            assert!(err.is_finite(), "acos_screen({x}) is not finite");
+            if err > worst.0 {
+                worst = (err, x);
+            }
+        };
+        for k in 0..=steps {
+            check(-1.0 + 2.0 * k as f64 / steps as f64);
+        }
+        let specials = [
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0f64.next_down(),
+            (-1.0f64).next_up(),
+        ];
+        for x in specials {
+            check(x);
+        }
+        // the kernels clamp the dot product before the polynomial, so
+        // rounding just past ±1 lands on the endpoints
+        for x in [1.0f64.next_up(), (-1.0f64).next_down()] {
+            let c = x.clamp(-1.0, 1.0);
+            assert!((acos_screen(c) - c.acos()).abs() <= SCREEN_ACOS_EPS / 2.0);
+        }
+        assert!(
+            worst.0 <= SCREEN_ACOS_EPS / 2.0,
+            "max |acos_screen − acos| = {:e} at x = {}, above ε/2 = {:e}",
+            worst.0,
+            worst.1,
+            SCREEN_ACOS_EPS / 2.0
+        );
+    }
+
+    #[test]
+    fn screen_scores_stay_within_the_margin_and_argmax_is_exact() {
+        let _guard = test_isa_lock();
+        let isas = [KernelIsa::Portable, detected_isa()];
+        for (case, &n) in [1usize, 2, 5, 8, 13, 64, 200, 600, 1200].iter().enumerate() {
+            for (floor_z, m) in [(3.0, 8 * (case + 2) + case % 8), (2.0, 61)] {
+                let (geoms, centers) = screen_case(n, m, 40 + case as u64, floor_z);
+                let floor_const = -0.5 * floor_z * floor_z;
+                let margin = screen_margin(&geoms, floor_const);
+                let rings = ScreenRings::new(&geoms);
+                let screens: Vec<Vec<f64>> = isas
+                    .iter()
+                    .map(|&isa| screen_cone_logls(&rings, &centers, floor_const, isa))
+                    .collect();
+                // the AVX2 screen replays the portable arithmetic
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&screens[0]), bits(&screens[1]), "n={n} m={m}");
+                for force_portable in [true, false] {
+                    set_force_portable(force_portable);
+                    let ctx = format!("n={n} m={m} floor_z={floor_z} portable={force_portable}");
+                    let exact = sweep_cone_logls(&geoms, &centers, floor_const);
+                    for (k, (&s, &l)) in screens[0].iter().zip(&exact).enumerate() {
+                        assert!(
+                            (s - l).abs() <= margin,
+                            "candidate {k}: |S − L| = {:e} > E = {margin:e} ({ctx})",
+                            (s - l).abs()
+                        );
+                    }
+                    let got = argmax_cone_logl(&geoms, &centers, floor_const);
+                    let want = sweep_argmax(&exact);
+                    assert_eq!(
+                        got.map(|(i, ll)| (i, ll.to_bits())),
+                        want.map(|(i, ll)| (i, ll.to_bits())),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+        reset_force_portable();
+    }
+
+    #[test]
+    fn argmax_ties_keep_the_earliest_index_and_empty_planes_are_none() {
+        let _guard = test_isa_lock();
+        let (geoms, _) = screen_case(50, 0, 7, 3.0);
+        let floor_const = -4.5;
+        // through the first ring's cone, and far from it
+        let on = adapt_math::rotation::deflect(geoms[0].axis, geoms[0].cone_theta, 0.3);
+        let off = geoms[0].axis.flipped();
+        for force_portable in [true, false] {
+            set_force_portable(force_portable);
+            let exact = sweep_cone_logls(&geoms, &[on, off], floor_const);
+            assert_ne!(exact[0], exact[1]);
+            let (best, other) = if exact[0] > exact[1] {
+                (on, off)
+            } else {
+                (off, on)
+            };
+            let plane = [
+                other, best, best, other, best, best, best, best, best, best, best,
+            ];
+            let got = argmax_cone_logl(&geoms, &plane, floor_const).unwrap();
+            let want = sweep_argmax(&sweep_cone_logls(&geoms, &plane, floor_const)).unwrap();
+            assert_eq!(got.0, 1);
+            assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            // with no rings every candidate scores 0.0: the first wins
+            assert_eq!(argmax_cone_logl(&[], &plane, floor_const), Some((0, 0.0)));
+            assert_eq!(argmax_cone_logl(&geoms, &[], floor_const), None);
+        }
+        reset_force_portable();
     }
 }

@@ -32,8 +32,13 @@ use std::time::Instant;
 /// Initial (pre-observation) per-level cost priors (ms), replaced by the
 /// EWMA after one observation each: the median per-rung p50s of four
 /// `epoch-deck` runs (`perfbench`, seed 1, 96 epochs of ~100–1000 rings,
-/// 2-core AVX2 Xeon). Coarse-skymap is the cheapest rung: the others pay
-/// the approximation stage.
+/// 2-core AVX2 Xeon), measured before the approximation stage screened
+/// its candidates with a bounded-error `acos`. That screen made the three
+/// approximating rungs cheaper, and classical now undercuts
+/// coarse-skymap. The values are kept deliberately: forced-degradation
+/// checks (flight leg B of the ground `counter_coverage` test, the flight
+/// and serve `--deadline-ms 5` CI smokes) are calibrated against them,
+/// and re-deriving them belongs with re-ordering the ladder.
 pub const COST_PRIORS_MS: [f64; 4] = [5.7, 5.4, 1.9, 4.1];
 
 /// EWMA weight of a new cost observation.
