@@ -9,7 +9,9 @@ use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
 use adapt_nn::{models, Matrix, QuantizedMlp};
 use adapt_recon::{ComptonRing, Reconstructor, RingFeatures};
-use adapt_sim::{BurstSimulation, GrbConfig, ParticleOrigin};
+use adapt_sim::{
+    BurstSimulation, Event, FlightProfile, GrbConfig, ParticleOrigin, StreamConfig, StreamingSource,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -73,6 +75,14 @@ fn bench_reconstruction(c: &mut Criterion) {
     let recon = Reconstructor::default();
     c.bench_function("reconstruct_burst_events", |b| {
         b.iter(|| black_box(recon.reconstruct_all(&data.events)))
+    });
+    // the event mix an epoch sees: one second of flight background at
+    // float altitude, where more than nine in ten events have a single hit
+    let mut config = StreamConfig::new(FlightProfile::antarctic_ldb(), 1.0);
+    config.start_h = 20.0;
+    let events: Vec<Event> = StreamingSource::new(config, 11).map(|s| s.event).collect();
+    c.bench_function("reconstruct_epoch_events", |b| {
+        b.iter(|| black_box(recon.reconstruct_all(&events)))
     });
 }
 
