@@ -11,9 +11,11 @@
 //! * **coarse-to-fine sky maps** — `SkyPosterior::adaptive` against
 //!   the flat `SkyPosterior::flat` sweep on a ≥10k-pixel raster grid.
 //!
-//! `cargo bench --bench inference_plan`. The checked-in
-//! `BENCH_pipeline.json` numbers come from the `bench_pipeline` binary,
-//! which exercises the same pairs.
+//! Each group also times its compiled arm (the flat sweep, for the sky
+//! map) with dispatch pinned to the portable kernels, so the SIMD
+//! speedup of every vectorized kernel is measured on identical inputs in
+//! the same process. `cargo bench --bench inference_plan`; end-to-end
+//! timing is perfbench's (`python3 perfbench/run.py`).
 
 use adapt_localize::{SkyGrid, SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
@@ -21,7 +23,7 @@ use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
 use adapt_nn::{models, CompiledMlp, InferenceScratch, Matrix, Mlp, QuantScratch, QuantizedMlp};
 use adapt_recon::{ComptonRing, RingFeatures};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -35,6 +37,16 @@ fn trained_background_net(order: BlockOrder) -> Mlp {
     net
 }
 
+/// Run `arm` with dispatch pinned to the portable kernels, then put the
+/// dispatcher back where it was (the hardware ISA, or portable under
+/// `ADAPT_FORCE_PORTABLE=1`).
+fn on_portable_kernels(arm: impl FnOnce()) {
+    let was_forced = adapt_nn::active_isa() != adapt_nn::detected_isa();
+    adapt_nn::set_force_portable(true);
+    arm();
+    adapt_nn::set_force_portable(was_forced);
+}
+
 fn bench_compiled_inference(c: &mut Criterion) {
     let net = trained_background_net(BlockOrder::BatchNormFirst);
     let plan = CompiledMlp::compile(&net);
@@ -43,12 +55,16 @@ fn bench_compiled_inference(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("background_net_256_rings");
     group.bench_function("mlp_predict", |b| b.iter(|| black_box(net.predict(&batch))));
-    group.bench_function("compiled_forward_batch", |b| {
+    let mut compiled = |b: &mut Bencher| {
         let mut scratch = InferenceScratch::new();
         b.iter(|| {
             let out = plan.forward_batch(&batch, &mut scratch);
             black_box(out[0])
         })
+    };
+    group.bench_function("compiled_forward_batch", &mut compiled);
+    on_portable_kernels(|| {
+        group.bench_function("compiled_forward_batch_portable", &mut compiled);
     });
     group.finish();
 }
@@ -74,12 +90,16 @@ fn bench_int8_inference(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("compiled_forward_batch", |b| {
+    let mut compiled = |b: &mut Bencher| {
         let mut scratch = QuantScratch::new();
         b.iter(|| {
             let out = plan.forward_batch(&batch, &mut scratch);
             black_box(out[0])
         })
+    };
+    group.bench_function("compiled_forward_batch", &mut compiled);
+    on_portable_kernels(|| {
+        group.bench_function("compiled_forward_batch_portable", &mut compiled);
     });
     group.finish();
 }
@@ -109,8 +129,11 @@ fn bench_skymap(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("skymap_12k_pixels_600_rings");
     group.sample_size(10);
-    group.bench_function("flat_sweep", |b| {
-        b.iter(|| black_box(SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0)))
+    let mut flat =
+        |b: &mut Bencher| b.iter(|| black_box(SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0)));
+    group.bench_function("flat_sweep", &mut flat);
+    on_portable_kernels(|| {
+        group.bench_function("flat_sweep_portable", &mut flat);
     });
     group.bench_function("coarse_to_fine", |b| {
         b.iter(|| {

@@ -1,28 +1,11 @@
-//! CI regression gate over the checked-in benchmark reports:
-//! `BENCH_pipeline.json`, `BENCH_stream.json`, `BENCH_ground.json`,
-//! `BENCH_matrix.json`, and `BENCH_calibration.json`.
+//! CI regression gate over the checked-in deterministic benchmark
+//! reports: `BENCH_matrix.json` and `BENCH_calibration.json`.
 //!
 //! Compares a freshly measured candidate report against the committed
 //! baseline and fails (exit 1) when any gated metric regressed by more
 //! than the tolerance. The report kind is auto-detected from its shape,
 //! and each kind gates what is portable for it:
 //!
-//! * **pipeline** — kernel *speedup ratios* (portable-vs-SIMD and
-//!   reference-vs-plan on the *same* host in the *same* run), tolerance
-//!   15% (`ADAPT_BENCH_GATE_TOLERANCE`). Absolute microseconds shift
-//!   with CI hardware, but a vectorized kernel that stops being faster
-//!   than its portable twin has regressed no matter the machine.
-//! * **stream** — the single-stream realtime factor and the deadline
-//!   headroom (deadline / p99 alert latency). These are wall-clock
-//!   numbers, so the tolerance is the looser wall tolerance (default
-//!   50%, `ADAPT_BENCH_WALL_TOLERANCE`); the gate catches collapses,
-//!   not noise.
-//! * **ground** — the aggregate realtime factor across the fleet, the
-//!   epoch deadline headroom, and the inverse fan-out publish p99 per
-//!   subscriber population (wall tolerance). Additionally the candidate
-//!   must report `events_dropped == 0`: ground ingest is pull-based and
-//!   structurally lossless, so any drop is a correctness bug, not a
-//!   performance number — the override does not apply.
 //! * **matrix** — the trigger robustness matrix. Per-cell detection
 //!   efficiency may *never* drop below the baseline (cells are
 //!   seed-deterministic, so any drop is a real behavior change — the
@@ -37,6 +20,9 @@
 //!   regions whose stated probability is wrong are a correctness bug,
 //!   not a performance number, so the override does not apply.
 //!
+//! Timing is not gated here: `perfbench/` compares every change against
+//! its parent on bounded end-to-end metrics.
+//!
 //! ```text
 //! bench_gate <baseline.json> <candidate.json>   # compare two reports
 //! bench_gate --self-test <baseline.json>        # prove the gate works
@@ -49,20 +35,14 @@
 //! Overrides, for intentional re-baselines only:
 //!
 //! * `ADAPT_BENCH_ALLOW_REGRESSION=1` — report regressions but exit 0.
-//!   Use when landing a change that knowingly trades speed for
+//!   Use when landing a change that knowingly trades a gated metric for
 //!   something else; commit the regenerated baseline in the same PR.
-//! * `ADAPT_BENCH_GATE_TOLERANCE` — ratio-metric tolerance as a
-//!   fraction (default `0.15`).
-//! * `ADAPT_BENCH_WALL_TOLERANCE` — wall-clock-metric tolerance as a
+//! * `ADAPT_BENCH_WALL_TOLERANCE` — gated-metric tolerance as a
 //!   fraction (default `0.50`).
-//!
-//! The gate also hard-fails (no override) if a pipeline candidate's
-//! INT8 kernel reports a nonzero divergence from the portable plan:
-//! bit-exactness is a correctness contract, not a performance number.
 
 use serde::Value;
 
-/// A gated metric: JSON path through the report plus the ratio found.
+/// A gated metric: JSON path through the report plus the values found.
 struct Gated {
     path: String,
     baseline: f64,
@@ -72,33 +52,23 @@ struct Gated {
 /// Which benchmark report a JSON file is, detected from its shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    Pipeline,
-    Stream,
-    Ground,
     Matrix,
     Calibration,
 }
 
 impl Kind {
-    fn detect(report: &Value) -> Kind {
+    fn detect(report: &Value) -> Option<Kind> {
         if report.get("coverage_cells").is_some() {
-            Kind::Calibration
+            Some(Kind::Calibration)
         } else if report.get("cells").is_some() {
-            Kind::Matrix
-        } else if report.get("aggregate_realtime_factor").is_some() {
-            Kind::Ground
-        } else if report.get("realtime_factor").is_some() {
-            Kind::Stream
+            Some(Kind::Matrix)
         } else {
-            Kind::Pipeline
+            None
         }
     }
 
     fn name(self) -> &'static str {
         match self {
-            Kind::Pipeline => "pipeline",
-            Kind::Stream => "stream",
-            Kind::Ground => "ground",
             Kind::Matrix => "matrix",
             Kind::Calibration => "calibration",
         }
@@ -114,73 +84,32 @@ fn num(v: &Value) -> Option<f64> {
     }
 }
 
-fn load(path: &str) -> Value {
+fn load(path: &str) -> (Value, Kind) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read benchmark report {path}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+    let report: Value =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
+    let Some(kind) = Kind::detect(&report) else {
+        eprintln!("bench gate: {path} is neither a matrix nor a calibration report");
+        std::process::exit(2);
+    };
+    (report, kind)
 }
 
-/// The top-level pipeline sections whose `speedup` field is gated.
-const GATED_SECTIONS: &[&str] = &[
-    "background_net_inference_256_rings",
-    "int8_background_net_inference_256_rings",
-    "skymap_12k_pixels_600_rings",
-];
-
-/// Wall-clock metrics gated on stream/ground reports: the key and
-/// whether higher is better (`false` means the gate inverts the value,
-/// so a growing latency reads as a shrinking gated metric).
-const STREAM_WALL_METRICS: &[(&str, bool)] =
-    &[("realtime_factor", true), ("alert_latency_p99_ms", false)];
-const GROUND_WALL_METRICS: &[(&str, bool)] = &[
-    ("aggregate_realtime_factor", true),
-    ("sustained_events_per_s", true),
-    ("epoch_latency_p99_ms", false),
-    ("alert_e2e_p99_ms", false),
-];
-const CALIBRATION_WALL_METRICS: &[(&str, bool)] = &[
+/// Calibration metrics: the key and whether higher is better (`false`
+/// means the gate inverts the value, so a growing radius reads as a
+/// shrinking gated metric).
+const CALIBRATION_METRICS: &[(&str, bool)] = &[
     ("localized_fraction", true),
     ("mean_credible_radius_90_deg", false),
 ];
 
-/// Collect every gated pipeline speedup: the three section-level ratios
-/// plus one per kernel row (matched by kernel name).
-fn gated_speedups(report: &Value) -> Vec<(String, f64)> {
+/// Collect the gated metrics of a calibration report. Lower-is-better
+/// values are inverted so every gated value is higher-is-better and one
+/// regression rule covers both kinds.
+fn gated_calibration_metrics(report: &Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    for section in GATED_SECTIONS {
-        if let Some(s) = report.get(section).and_then(|s| s.get("speedup")) {
-            out.push((format!("{section}.speedup"), num(s).unwrap_or(f64::NAN)));
-        }
-    }
-    if let Some(kernels) = report.get("kernels").and_then(|k| k.as_arr()) {
-        for k in kernels {
-            let name = k
-                .get("kernel")
-                .and_then(|n| n.as_str())
-                .unwrap_or("<unnamed>");
-            if let Some(s) = k.get("speedup").and_then(num) {
-                out.push((format!("kernels[{name}].speedup"), s));
-            }
-        }
-    }
-    out
-}
-
-/// Collect the gated wall-clock metrics of a stream/ground report.
-/// Lower-is-better latencies are inverted so every gated value is
-/// higher-is-better and one regression rule covers all kinds.
-fn gated_wall_metrics(report: &Value, kind: Kind) -> Vec<(String, f64)> {
-    let metrics = match kind {
-        Kind::Stream => STREAM_WALL_METRICS,
-        Kind::Ground => GROUND_WALL_METRICS,
-        Kind::Matrix => return gated_matrix_metrics(report),
-        Kind::Calibration => CALIBRATION_WALL_METRICS,
-        Kind::Pipeline => return Vec::new(),
-    };
-    let mut out = Vec::new();
-    for (key, higher_better) in metrics {
-        // Option<f64> latencies serialize to null when no alerts fired;
-        // skip rather than gate a metric that does not exist
+    for (key, higher_better) in CALIBRATION_METRICS {
         if let Some(x) = report.get(key).and_then(num) {
             let (path, value) = if *higher_better {
                 (key.to_string(), x)
@@ -188,17 +117,6 @@ fn gated_wall_metrics(report: &Value, kind: Kind) -> Vec<(String, f64)> {
                 (format!("1/{key}"), 1.0 / x.max(1e-12))
             };
             out.push((path, value));
-        }
-    }
-    if let Some(rows) = report.get("fanout").and_then(|f| f.as_arr()) {
-        for row in rows {
-            let subs = row.get("subscribers").and_then(num).unwrap_or(f64::NAN);
-            if let Some(p99) = row.get("publish_p99_us").and_then(num) {
-                out.push((
-                    format!("1/fanout[{subs:.0}].publish_p99_us"),
-                    1.0 / p99.max(1e-12),
-                ));
-            }
         }
     }
     out
@@ -231,10 +149,8 @@ fn gated_matrix_metrics(report: &Value) -> Vec<(String, f64)> {
 /// Every gated metric of a report, dispatched on its kind.
 fn gated_metrics(report: &Value, kind: Kind) -> Vec<(String, f64)> {
     match kind {
-        Kind::Pipeline => gated_speedups(report),
-        Kind::Stream | Kind::Ground | Kind::Matrix | Kind::Calibration => {
-            gated_wall_metrics(report, kind)
-        }
+        Kind::Matrix => gated_matrix_metrics(report),
+        Kind::Calibration => gated_calibration_metrics(report),
     }
 }
 
@@ -268,23 +184,6 @@ fn regressions(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64) 
         }
     }
     out
-}
-
-/// The INT8 kernel's bit-exactness contract: any row whose name starts
-/// with `int8` must report zero divergence from the portable plan.
-fn int8_exactness_violation(candidate: &Value) -> Option<String> {
-    let kernels = candidate.get("kernels").and_then(|k| k.as_arr())?;
-    for k in kernels {
-        let name = k.get("kernel").and_then(|n| n.as_str()).unwrap_or("");
-        if !name.starts_with("int8") {
-            continue;
-        }
-        let diff = k.get("max_abs_diff_vs_portable").and_then(num)?;
-        if diff != 0.0 {
-            return Some(format!("{name}: max_abs_diff_vs_portable = {diff:e}"));
-        }
-    }
-    None
 }
 
 /// The matrix's candidate-only invariants, mirroring the smoke gate: a
@@ -341,7 +240,8 @@ fn calibration_coverage_violation(candidate: &Value) -> Option<String> {
     let z = candidate.get("coverage_abs_z").and_then(num)?;
     (z > CALIBRATION_MAX_ABS_Z).then(|| {
         format!(
-            "worst coverage pull {z:.2}σ exceeds the ±{CALIBRATION_MAX_ABS_Z:.1}σ band —              the posterior's credible regions are miscalibrated"
+            "worst coverage pull {z:.2}σ exceeds the ±{CALIBRATION_MAX_ABS_Z:.1}σ band — \
+             the posterior's credible regions are miscalibrated"
         )
     })
 }
@@ -349,20 +249,9 @@ fn calibration_coverage_violation(candidate: &Value) -> Option<String> {
 /// Non-overridable correctness contracts per report kind.
 fn contract_violation(candidate: &Value, kind: Kind) -> Option<String> {
     match kind {
-        Kind::Pipeline => {
-            int8_exactness_violation(candidate).map(|v| format!("INT8 bit-exactness broken — {v}"))
-        }
-        Kind::Ground => match candidate.get("events_dropped").and_then(num) {
-            Some(dropped) if dropped != 0.0 => Some(format!(
-                "ground ingest dropped {dropped:.0} events; pull-based ingest is \
-                 structurally lossless, so any drop is a bug"
-            )),
-            _ => None,
-        },
         Kind::Matrix => matrix_invariant_violation(candidate),
         Kind::Calibration => calibration_coverage_violation(candidate)
             .map(|v| format!("coverage contract broken — {v}")),
-        Kind::Stream => None,
     }
 }
 
@@ -418,84 +307,48 @@ fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64, all
     false
 }
 
-/// Wall-clock keys `slowed` scales: throughput-like keys are divided by
-/// the factor, latency-like keys multiplied, mimicking a uniformly
-/// slower run.
-const SLOWED_THROUGHPUT_KEYS: &[&str] = &[
-    "realtime_factor",
-    "aggregate_realtime_factor",
-    "sustained_events_per_s",
-];
-const SLOWED_LATENCY_KEYS: &[&str] = &[
-    "alert_latency_p99_ms",
-    "epoch_latency_p99_ms",
-    "alert_e2e_p99_ms",
-    "publish_p99_us",
-    "false_alerts_per_hour",
-    "mean_credible_radius_90_deg",
-];
-
-/// Matrix keys scaled like throughput (a uniformly "worse" candidate
-/// detects less), exercised by the `--self-test` slowdown arm.
+/// Keys `slowed` scales: efficiency-like keys are divided by the
+/// factor, rate- and radius-like keys multiplied, mimicking a uniformly
+/// worse run.
 const SLOWED_EFFICIENCY_KEYS: &[&str] = &["detection_efficiency", "localized_fraction"];
+const SLOWED_LOWER_BETTER_KEYS: &[&str] = &["false_alerts_per_hour", "mean_credible_radius_90_deg"];
 
-/// Deep-copy a report with every gated metric slowed by `factor` — the
-/// injected-slowdown candidate for `--self-test`. Pipeline speedups are
-/// divided; stream/ground throughput metrics divided and p99 latencies
-/// multiplied.
-fn slowed(v: &Value, factor: f64, in_gated: bool) -> Value {
+/// Deep-copy a report with every gated metric worsened by `factor` —
+/// the injected-slowdown candidate for `--self-test`.
+fn slowed(v: &Value, factor: f64) -> Value {
     match v {
         Value::Obj(pairs) => Value::Obj(
             pairs
                 .iter()
                 .map(|(k, val)| {
-                    let gated_here =
-                        in_gated || GATED_SECTIONS.contains(&k.as_str()) || k == "kernels";
                     if let Some(x) = num(val) {
-                        if k == "speedup" && in_gated {
+                        if SLOWED_EFFICIENCY_KEYS.contains(&k.as_str()) {
                             return (k.clone(), Value::Float(x / factor));
                         }
-                        if SLOWED_THROUGHPUT_KEYS.contains(&k.as_str())
-                            || SLOWED_EFFICIENCY_KEYS.contains(&k.as_str())
-                        {
-                            return (k.clone(), Value::Float(x / factor));
-                        }
-                        if SLOWED_LATENCY_KEYS.contains(&k.as_str()) {
+                        if SLOWED_LOWER_BETTER_KEYS.contains(&k.as_str()) {
                             return (k.clone(), Value::Float(x * factor));
                         }
                     }
-                    (k.clone(), slowed(val, factor, gated_here))
+                    (k.clone(), slowed(val, factor))
                 })
                 .collect(),
         ),
-        Value::Arr(items) => {
-            Value::Arr(items.iter().map(|i| slowed(i, factor, in_gated)).collect())
-        }
+        Value::Arr(items) => Value::Arr(items.iter().map(|i| slowed(i, factor)).collect()),
         other => other.clone(),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let ratio_tolerance: f64 = std::env::var("ADAPT_BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15);
-    let wall_tolerance: f64 = std::env::var("ADAPT_BENCH_WALL_TOLERANCE")
+    let tolerance: f64 = std::env::var("ADAPT_BENCH_WALL_TOLERANCE")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.50);
     let allow = std::env::var("ADAPT_BENCH_ALLOW_REGRESSION").as_deref() == Ok("1");
-    let tolerance_for = |kind: Kind| match kind {
-        Kind::Pipeline => ratio_tolerance,
-        Kind::Stream | Kind::Ground | Kind::Matrix | Kind::Calibration => wall_tolerance,
-    };
 
     match args.as_slice() {
         [flag, baseline_path] if flag == "--self-test" => {
-            let baseline = load(baseline_path);
-            let kind = Kind::detect(&baseline);
-            let tolerance = tolerance_for(kind);
+            let (baseline, kind) = load(baseline_path);
             // an injected slowdown safely beyond the tolerance
             let factor = (1.0 + tolerance) * 1.1;
             // arm 1: baseline vs itself must pass
@@ -512,7 +365,7 @@ fn main() {
                 "self-test 2/2 ({}): injected /{factor:.2} slowdown (must fail)",
                 kind.name()
             );
-            let injected = slowed(&baseline, factor, false);
+            let injected = slowed(&baseline, factor);
             assert!(
                 !run_gate(&baseline, &injected, kind, tolerance, false),
                 "self-test failed: gate accepted an injected regression beyond tolerance"
@@ -520,10 +373,8 @@ fn main() {
             println!("bench gate self-test PASS ({})", kind.name());
         }
         [baseline_path, candidate_path] => {
-            let baseline = load(baseline_path);
-            let candidate = load(candidate_path);
-            let kind = Kind::detect(&baseline);
-            let candidate_kind = Kind::detect(&candidate);
+            let (baseline, kind) = load(baseline_path);
+            let (candidate, candidate_kind) = load(candidate_path);
             if kind != candidate_kind {
                 eprintln!(
                     "bench gate FAIL: baseline is a {} report but candidate is a {} report",
@@ -532,7 +383,7 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            if !run_gate(&baseline, &candidate, kind, tolerance_for(kind), allow) {
+            if !run_gate(&baseline, &candidate, kind, tolerance, allow) {
                 std::process::exit(1);
             }
         }
@@ -542,6 +393,158 @@ fn main() {
                  bench_gate --self-test <baseline.json>"
             );
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TOLERANCE: f64 = 0.5;
+
+    fn parse(json: &str) -> Value {
+        serde_json::from_str(json).expect("test report parses")
+    }
+
+    /// The gate's verdict on `candidate`, with the kind detected from
+    /// the baseline as `main` does.
+    fn passes(baseline: &Value, candidate: &Value, allow: bool) -> bool {
+        let kind = Kind::detect(baseline).expect("a matrix or calibration report");
+        run_gate(baseline, candidate, kind, TOLERANCE, allow)
+    }
+
+    /// One matrix cell; the false-alert rate is 18/h per alert (200 s).
+    fn cell(id: &str, missed: u32, false_alerts: u32, efficiency: f64) -> String {
+        let scenario = id.split('/').next().unwrap();
+        let rate = false_alerts as f64 * 18.0;
+        format!(
+            r#"{{"id": "{id}", "scenario": "{scenario}", "missed": {missed},
+                "false_alerts": {false_alerts}, "detection_efficiency": {efficiency},
+                "false_alerts_per_hour": {rate}}}"#
+        )
+    }
+
+    fn matrix(cells: &[String]) -> Value {
+        parse(&format!(r#"{{"cells": [{}]}}"#, cells.join(",")))
+    }
+
+    /// A three-cell matrix in the committed report's shape, with the
+    /// solar-flare cell replaced by `flare`.
+    fn matrix_with(quiet: String, clean: String, flare: Option<String>) -> Value {
+        let mut cells = vec![quiet, clean];
+        cells.extend(flare);
+        matrix(&cells)
+    }
+
+    /// The baseline: a silent quiet sky, a detected clean burst, and a
+    /// solar flare with one miss and one false alert.
+    fn baseline_matrix() -> Value {
+        matrix_with(
+            cell("quiet/x1/t7", 0, 0, 1.0),
+            cell("clean-burst/x1/t7", 0, 0, 1.0),
+            Some(cell("solar-flare/x1/t7", 1, 1, 0.5)),
+        )
+    }
+
+    fn calibration(coverage_abs_z: f64, radius_deg: f64) -> Value {
+        parse(&format!(
+            r#"{{"coverage_cells": [], "localized_fraction": 1.0,
+                "mean_credible_radius_90_deg": {radius_deg},
+                "coverage_abs_z": {coverage_abs_z}}}"#
+        ))
+    }
+
+    #[test]
+    fn kinds_are_detected_from_the_report_shape() {
+        assert_eq!(Kind::detect(&baseline_matrix()), Some(Kind::Matrix));
+        let calibration = calibration(1.0, 5.0);
+        assert_eq!(Kind::detect(&calibration), Some(Kind::Calibration));
+        assert_eq!(Kind::detect(&parse(r#"{"kernels": []}"#)), None);
+    }
+
+    #[test]
+    fn identical_reports_pass() {
+        let m = baseline_matrix();
+        assert!(passes(&m, &m, false));
+        let c = calibration(1.9, 5.6);
+        assert!(passes(&c, &c, false));
+    }
+
+    #[test]
+    fn quiet_cell_false_alert_fails_even_when_allowed() {
+        let candidate = matrix_with(
+            cell("quiet/x1/t7", 0, 1, 1.0),
+            cell("clean-burst/x1/t7", 0, 0, 1.0),
+            Some(cell("solar-flare/x1/t7", 1, 1, 0.5)),
+        );
+        assert!(!passes(&baseline_matrix(), &candidate, true));
+    }
+
+    #[test]
+    fn clean_burst_miss_fails_even_when_allowed() {
+        let candidate = matrix_with(
+            cell("quiet/x1/t7", 0, 0, 1.0),
+            cell("clean-burst/x1/t7", 1, 0, 1.0),
+            Some(cell("solar-flare/x1/t7", 1, 1, 0.5)),
+        );
+        assert!(!passes(&baseline_matrix(), &candidate, true));
+    }
+
+    #[test]
+    fn detection_efficiency_drop_fails_even_when_allowed() {
+        // 0.5 -> 0.45 is inside the 50% tolerance: only the
+        // non-overridable contract can catch it
+        let candidate = matrix_with(
+            cell("quiet/x1/t7", 0, 0, 1.0),
+            cell("clean-burst/x1/t7", 0, 0, 1.0),
+            Some(cell("solar-flare/x1/t7", 1, 1, 0.45)),
+        );
+        assert!(!passes(&baseline_matrix(), &candidate, true));
+    }
+
+    #[test]
+    fn vanished_cell_fails_even_when_allowed() {
+        let candidate = matrix_with(
+            cell("quiet/x1/t7", 0, 0, 1.0),
+            cell("clean-burst/x1/t7", 0, 0, 1.0),
+            None,
+        );
+        assert!(!passes(&baseline_matrix(), &candidate, true));
+    }
+
+    #[test]
+    fn coverage_band_is_four_sigma_inclusive() {
+        let baseline = calibration(1.9, 5.6);
+        assert!(passes(&baseline, &calibration(4.0, 5.6), false));
+        assert!(!passes(&baseline, &calibration(4.01, 5.6), true));
+    }
+
+    #[test]
+    fn wall_regression_past_tolerance_fails_unless_allowed() {
+        // a 90% credible radius 1.6x the baseline's is past the 50%
+        // band, but it is a metric, not a contract; 1.4x is inside
+        let baseline = calibration(1.9, 5.0);
+        let wider = calibration(1.9, 8.0);
+        assert!(!passes(&baseline, &wider, false));
+        assert!(passes(&baseline, &wider, true));
+        assert!(passes(&baseline, &calibration(1.9, 7.0), false));
+
+        // the same rule on a matrix cell's false-alert rate
+        let noisier = matrix_with(
+            cell("quiet/x1/t7", 0, 0, 1.0),
+            cell("clean-burst/x1/t7", 0, 0, 1.0),
+            Some(cell("solar-flare/x1/t7", 1, 3, 0.5)),
+        );
+        assert!(!passes(&baseline_matrix(), &noisier, false));
+        assert!(passes(&baseline_matrix(), &noisier, true));
+    }
+
+    #[test]
+    fn self_test_slowdown_fails_both_kinds() {
+        let factor = (1.0 + TOLERANCE) * 1.1;
+        for report in [baseline_matrix(), calibration(1.9, 5.6)] {
+            assert!(!passes(&report, &slowed(&report, factor), false));
         }
     }
 }

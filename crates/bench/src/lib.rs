@@ -315,7 +315,7 @@ pub fn run_train_report(models: &TrainedModels) -> String {
 }
 
 /// Measurement provenance shared by every JSON benchmark report
-/// (`BENCH_pipeline.json`, `BENCH_stream.json`, `BENCH_ground.json`):
+/// (`BENCH_matrix.json`, `BENCH_calibration.json`, perfbench results):
 /// which tree, which CPU, and which kernel ISA the dispatcher actually
 /// selected — so a checked-in report can never be mistaken for numbers
 /// from a different machine or fallback path.
@@ -346,7 +346,7 @@ impl EnvReport {
 }
 
 /// Short git revision of the working tree, or `"unknown"` outside git.
-pub fn git_rev() -> String {
+fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -358,7 +358,7 @@ pub fn git_rev() -> String {
 }
 
 /// First `model name` from /proc/cpuinfo (Linux), or `"unknown"`.
-pub fn cpu_model() -> String {
+fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|text| {

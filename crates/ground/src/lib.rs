@@ -27,8 +27,8 @@
 //!   polar-band-indexed filters and bounded mailboxes with
 //!   slow-consumer shedding.
 //!
-//! The CLI front-end is `adapt serve`; the scale benchmark is the
-//! `bench_ground` bin in `adapt-bench`.
+//! The CLI front-end is `adapt serve`; the repository benchmark's
+//! `storm` workload (`perfbench/`) times it at 128 tenants.
 //!
 //! [`StreamingSource`]: adapt_sim::StreamingSource
 //! [`OnlineTrigger`]: adapt_onboard::OnlineTrigger

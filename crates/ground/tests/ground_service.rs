@@ -58,7 +58,8 @@ fn deterministic_config(workers: usize, shards: usize) -> GroundConfig {
 
 /// Satellite: the same per-stream seeds must produce a bit-identical
 /// alert set regardless of pool worker count, ingest sharding, or steal
-/// order.
+/// order. Pull-based ingest is structurally lossless, so every geometry
+/// (sharded ingest included) must also report zero dropped events.
 #[test]
 fn replay_is_bit_identical_across_pool_geometries() {
     let service = |workers, shards| {
@@ -78,6 +79,10 @@ fn replay_is_bit_identical_across_pool_geometries() {
         .collect();
     for (workers, shards) in [(4, 2), (3, 3), (2, 1)] {
         let report = service(workers, shards);
+        assert_eq!(
+            report.events_dropped, 0,
+            "{workers} workers x {shards} shards dropped events"
+        );
         let keys: Vec<_> = report
             .alerts
             .iter()

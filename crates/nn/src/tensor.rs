@@ -29,9 +29,11 @@ pub const PAR_FLOP_THRESHOLD: usize = 256 * 1024;
 ///
 /// The SIMD kernels moved the break-even by over an order of magnitude:
 /// the AVX2 INT8 GEMM+requant kernel measures ~35 ps/MAC and the f64
-/// FMA kernel ~57 ps/MAC (`bench_pipeline` kernel rows: 400 us and
-/// 643 us for 256 x 44352-MAC samples), against the same ~23 us
-/// spawn+join per worker. Two-way break-even at the INT8 rate is
+/// FMA kernel ~57 ps/MAC (400 us and 643 us for 256 x 44352-MAC
+/// samples, measured at commit 42edfad; the compiled and
+/// `_portable` arms of `benches/inference_plan.rs` time the same
+/// kernels on the same batch), against the same ~23 us spawn+join per
+/// worker. Two-way break-even at the INT8 rate is
 /// ~2 * 23 us / 35 ps = ~1.3M MACs; 4M MACs (~140 us sequential on the
 /// vector path) keeps a ~3x margin so a fork only happens when it
 /// clearly pays. Stages between the two thresholds — parallel in the

@@ -27,8 +27,9 @@
 //! - [`checkpoint::Checkpoint`] snapshots trigger + scheduler state so a
 //!   killed process resumes mid-burst without losing the epoch.
 //!
-//! The CLI front-end is `adapt fly`; the sustained-throughput benchmark
-//! is the `bench_stream` bin in `adapt-bench`.
+//! The CLI front-end is `adapt fly`; the repository benchmark's
+//! `flight-hostile` workload (`perfbench/`) times it under rate
+//! transitions.
 
 pub mod checkpoint;
 pub mod queue;
