@@ -216,6 +216,8 @@ impl<'a> EpochScheduler<'a> {
     /// Admit epoch `index` of stream `stream_id` (localizer seed
     /// `stream_seed`): stamp it ready, count it, and open its causal trace
     /// with the root `trigger` span, reporting the caller's `queue_depth`.
+    /// The span's `events=` detail counts the epoch's events, which are
+    /// only the ones reconstruction can sequence (multi-site events).
     pub fn admit(
         &self,
         stream_id: usize,

@@ -10,12 +10,18 @@
 //! epoch*: the events from `pre_window_s` before the trigger through
 //! `post_window_s` after it, handed to the localizer as one batch.
 //!
+//! Every arrival counts toward the rates, but only events reconstruction
+//! can sequence ([`can_sequence`]: two hits up to the sequencer's limit)
+//! are buffered for an epoch. The rest can never form a ring, and in a
+//! flight background they are nine in ten arrivals.
+//!
 //! While an epoch is open (and through a refractory period after it) the
 //! trigger is suppressed, and rate calibration restarts afterwards so
 //! burst events never contaminate the background estimate. The whole
 //! trigger state serializes, which is what makes mid-burst
 //! checkpoint/restore possible.
 
+use adapt_recon::can_sequence;
 use adapt_sim::{Event, StreamedEvent};
 use adapt_telemetry::{TriggerDecisionRecord, WindowDecision};
 use serde::{Deserialize, Serialize};
@@ -71,7 +77,11 @@ pub struct OpenEpoch {
     pub width_s: f64,
     /// The epoch keeps collecting events until this stream time.
     pub collect_until_s: f64,
-    /// Collected events (arrival times are absolute stream seconds).
+    /// Collected events that reconstruction can sequence, in arrival
+    /// order (arrival times are absolute stream seconds). Events with one
+    /// hit, or more than reconstruction sequences, never enter an epoch:
+    /// they cannot form a ring, so the epoch's rings are the same as those
+    /// of every arrival in its window.
     pub events: Vec<Event>,
 }
 
@@ -85,7 +95,8 @@ pub struct OnlineTrigger {
     /// marks the logical front — a serde-friendly ring buffer).
     times: Vec<f64>,
     times_head: usize,
-    /// Recent events inside the pre-window horizon (epoch seeding).
+    /// Recent sequenceable events inside the pre-window horizon (epoch
+    /// seeding).
     recent: Vec<StreamedEvent>,
     recent_head: usize,
     /// Rate calibration restarts at this stream time.
@@ -125,6 +136,11 @@ impl OnlineTrigger {
     /// Whether an epoch is currently collecting.
     pub fn has_open_epoch(&self) -> bool {
         self.epoch.is_some()
+    }
+
+    /// The epoch currently collecting, if any.
+    pub fn open_epoch(&self) -> Option<&OpenEpoch> {
+        self.epoch.as_ref()
     }
 
     /// Events observed so far.
@@ -244,15 +260,18 @@ impl OnlineTrigger {
             self.cal_start_s = self.frozen_until_s;
         }
 
+        let sequenceable = can_sequence(se.event.hits.len());
         self.times.push(t);
-        self.recent.push(se.clone());
+        if sequenceable {
+            self.recent.push(se.clone());
+        }
         self.purge(t);
 
         let frozen = t < self.frozen_until_s;
         let elapsed = (t - self.cal_start_s).max(0.0);
 
         if let Some(ep) = &mut self.epoch {
-            if t <= ep.collect_until_s {
+            if sequenceable && t <= ep.collect_until_s {
                 ep.events.push(se.event.clone());
             }
             let rec = near_truth
@@ -275,8 +294,7 @@ impl OnlineTrigger {
 
         let mut windows: Vec<WindowDecision> = Vec::new();
         let mut fired = false;
-        let widths: Vec<f64> = self.config.window_widths_s.clone();
-        for w in widths {
+        for &w in &self.config.window_widths_s {
             if w > elapsed {
                 continue;
             }
@@ -493,6 +511,68 @@ mod tests {
         // quiet observation without truth context records nothing
         let (_, rec) = trig.observe_explained(&dummy_event(35.1), false);
         assert!(rec.is_none());
+    }
+
+    /// Every float of a ring as bits: axis, η, dη and the features.
+    fn ring_bits(r: &adapt_recon::ComptonRing) -> Vec<u64> {
+        let axis = r.axis.as_vec();
+        let mut floats = vec![axis.x, axis.y, axis.z, r.eta, r.d_eta];
+        floats.extend(r.features.to_static_array());
+        floats.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn epoch_holds_the_sequenceable_arrivals_of_its_window() {
+        use adapt_recon::Reconstructor;
+        use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
+        // flight background at float altitude with one bright burst
+        let mut config = StreamConfig::new(FlightProfile::checkout_2h(), 8.0)
+            .with_burst(4.0, GrbConfig::new(1.0, 0.0));
+        config.start_h = 1.9;
+        config.background.particle_fluence = crate::FLIGHT_NOMINAL_FLUENCE;
+        let arrivals: Vec<StreamedEvent> = StreamingSource::new(config, 0xE90C).collect();
+
+        let cfg = OnlineTriggerConfig::default();
+        let pre = cfg.pre_window_s;
+        let mut trig = OnlineTrigger::new(cfg);
+        let mut epochs: Vec<OpenEpoch> =
+            arrivals.iter().filter_map(|se| trig.observe(se)).collect();
+        epochs.extend(trig.flush());
+        assert_eq!(epochs.len(), 1, "one burst, one epoch");
+        let ep = &epochs[0];
+
+        let window: Vec<Event> = arrivals
+            .iter()
+            .filter(|se| se.t_s >= ep.t_trigger_s - pre && se.t_s <= ep.collect_until_s)
+            .map(|se| se.event.clone())
+            .collect();
+        let sequenceable: Vec<&Event> = window
+            .iter()
+            .filter(|e| can_sequence(e.hits.len()))
+            .collect();
+        assert!(
+            sequenceable.len() * 2 < window.len(),
+            "flight background is mostly single-site: {} of {}",
+            sequenceable.len(),
+            window.len()
+        );
+        let json = |e: &Event| serde_json::to_string(e).unwrap();
+        assert_eq!(ep.events.len(), sequenceable.len());
+        for (i, (got, want)) in ep.events.iter().zip(&sequenceable).enumerate() {
+            assert_eq!(json(got), json(want), "epoch event {i}");
+        }
+
+        // the unbuffered events never formed a ring: same rings, same order
+        let recon = Reconstructor::default();
+        let noop = adapt_telemetry::noop();
+        let (rings, counts) = recon.reconstruct_all_counted(&ep.events, noop);
+        let (want, want_counts) = recon.reconstruct_all_counted(&window, noop);
+        assert!(!rings.is_empty());
+        assert_eq!(counts.reconstructed, want_counts.reconstructed);
+        assert_eq!(rings.len(), want.len());
+        for (i, (got, want)) in rings.iter().zip(&want).enumerate() {
+            assert_eq!(ring_bits(got), ring_bits(want), "ring {i}");
+        }
     }
 
     #[test]

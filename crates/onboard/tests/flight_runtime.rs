@@ -7,6 +7,7 @@ use adapt_core::training::{TrainedModels, TrainingCampaignConfig};
 use adapt_math::{angular_separation, deg_to_rad, UnitVec3};
 use adapt_onboard::runtime::{DegradationLevel, FlightRuntime, RuntimeConfig};
 use adapt_onboard::Checkpoint;
+use adapt_recon::can_sequence;
 use adapt_sim::{FlightProfile, GrbConfig, PerturbationConfig, StreamConfig, StreamingSource};
 use adapt_telemetry::{Counter, FlightRecorder, LiveObserver, SloConfig};
 use std::sync::OnceLock;
@@ -87,13 +88,18 @@ fn kill_and_restore_mid_burst_still_alerts() {
 
     let seed = 0xA1E9;
     let config = burst_stream(8.0, 4.0, 1.0);
+    // pinned to full-ml, so the alert is a pure function of the seeds
+    let deterministic = RuntimeConfig {
+        deterministic: true,
+        ..RuntimeConfig::default()
+    };
 
     // First process: killed right after the burst onset, before the
     // epoch's post-window can close — the alert cannot have been emitted.
     let rc = RuntimeConfig {
         checkpoint_path: Some(ckpt_path.clone()),
         kill_at_s: Some(4.3),
-        ..RuntimeConfig::default()
+        ..deterministic.clone()
     };
     let runtime = FlightRuntime::new(models(), rc);
     let report = runtime.run(StreamingSource::new(config.clone(), seed));
@@ -109,16 +115,41 @@ fn kill_and_restore_mid_burst_still_alerts() {
     // checkpoint. The epoch survives the restart and the alert lands.
     let ckpt = Checkpoint::load(&ckpt_path).unwrap();
     assert!(ckpt.t_s >= 4.0, "checkpoint covers the onset");
-    let runtime = FlightRuntime::new(models(), RuntimeConfig::default());
-    let report = runtime.resume(StreamingSource::new(config, seed), ckpt);
+    let open = ckpt
+        .trigger
+        .open_epoch()
+        .expect("the checkpoint carries the open epoch");
+    assert!(!open.events.is_empty());
+    assert!(
+        open.events.iter().all(|e| can_sequence(e.hits.len())),
+        "the open epoch buffers only sequenceable events"
+    );
+    let runtime = FlightRuntime::new(models(), deterministic.clone());
+    let report = runtime.resume(StreamingSource::new(config.clone(), seed), ckpt);
     assert_eq!(
         report.alerts.len(),
         1,
         "restored runtime must still produce the burst alert: {:?}",
         report.alerts
     );
-    assert!((report.alerts[0].t_trigger_s - 4.0).abs() < 1.0);
     std::fs::remove_file(&ckpt_path).ok();
+
+    // ...and it is the alert of a run that was never interrupted
+    let uninterrupted =
+        FlightRuntime::new(models(), deterministic).run(StreamingSource::new(config, seed));
+    assert_eq!(uninterrupted.alerts.len(), 1);
+    let (got, want) = (&report.alerts[0], &uninterrupted.alerts[0]);
+    assert!((got.t_trigger_s - 4.0).abs() < 1.0);
+    assert_eq!(got.t_trigger_s.to_bits(), want.t_trigger_s.to_bits());
+    assert_eq!(got.polar_deg.to_bits(), want.polar_deg.to_bits());
+    assert_eq!(got.azimuth_deg.to_bits(), want.azimuth_deg.to_bits());
+    assert_eq!(
+        got.containment_radius_deg.to_bits(),
+        want.containment_radius_deg.to_bits()
+    );
+    assert_eq!(got.rings, want.rings);
+    assert_eq!(got.surviving_rings, want.surviving_rings);
+    assert_eq!(got.mode, want.mode);
 }
 
 #[test]

@@ -30,4 +30,4 @@ pub mod sequence;
 pub use features::{RingFeatures, N_FEATURES_WITH_POLAR, N_STATIC_FEATURES};
 pub use reconstruct::{ReconConfig, ReconCounts, ReconError, Reconstructor};
 pub use ring::{ComptonRing, RingTruth};
-pub use sequence::{sequence_hits, SequenceError, Sequencing};
+pub use sequence::{can_sequence, sequence_hits, SequenceError, Sequencing};

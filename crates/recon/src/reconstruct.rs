@@ -77,6 +77,12 @@ impl From<SequenceError> for ReconError {
 /// acceptance window — including zero-energy events) separately from
 /// ordinary selection cuts; the paper's trigger diagnostics treat those
 /// as a detector-health signal rather than a rate fluctuation.
+///
+/// The counts cover the events offered. A flight or ground epoch offers
+/// only events with a sequenceable hit count
+/// ([`can_sequence`](crate::can_sequence)), so its counts leave out the
+/// single-site majority of the stream, sub-threshold ones included; the
+/// trial pipeline offers every event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReconCounts {
     /// Events offered to the reconstructor.
@@ -93,9 +99,11 @@ pub struct ReconCounts {
 
 /// How many events ahead [`Reconstructor::reconstruct_all_counted`]
 /// prefetches each event's heap `hits` buffer. Nine in ten events of a
-/// flight-background epoch have one hit and are rejected by a range check,
-/// so the scan is bound by the cold load of that buffer. At about 40 ns of
-/// work per one-hit event, 16 events cover several memory latencies.
+/// flight background have one hit and are rejected by a range check, so a
+/// scan over every event (the trial pipeline's) is bound by the cold load
+/// of that buffer. At about 40 ns of work per one-hit event, 16 events
+/// cover several memory latencies. Runtime epochs hold only multi-hit
+/// events (the trigger drops the rest), so there the scan is smaller.
 pub(crate) const PREFETCH_EVENTS: usize = 16;
 
 /// Hint the cache to load the line at `ptr`. A hint only: it never
@@ -404,6 +412,59 @@ mod tests {
         assert!(rings.is_empty());
         assert_eq!(counts.degenerate_rings, counts.attempted);
         assert_eq!(counts.rejected_other, 0);
+    }
+
+    #[test]
+    fn only_sequenceable_hit_counts_reconstruct() {
+        use crate::sequence::{can_sequence, MAX_SEQUENCED_HITS};
+        assert!(!can_sequence(0) && !can_sequence(1));
+        assert!((2..=MAX_SEQUENCED_HITS).all(can_sequence));
+        assert!(!can_sequence(MAX_SEQUENCED_HITS + 1));
+
+        let sim = BurstSimulation::with_defaults(GrbConfig::new(2.0, 0.0));
+        let data = sim.simulate(21);
+        let recon = Reconstructor::default();
+        let mut checked = 0;
+        for event in data.events.iter().filter(|e| recon.reconstruct(e).is_ok()) {
+            // the event's deposit on one hit and spread over too many,
+            // inside the energy window so the hit count is what rejects
+            // it, and the event with no hits at all
+            let total = event.total_energy();
+            let mut one = event.clone();
+            one.hits.truncate(1);
+            one.hits[0].energy = total;
+            let mut many = event.clone();
+            while many.hits.len() <= MAX_SEQUENCED_HITS {
+                let mut split = many.hits[0];
+                split.energy /= 2.0;
+                many.hits[0].energy -= split.energy;
+                split.position.z += 1.0;
+                many.hits.push(split);
+            }
+            let mut none = event.clone();
+            none.hits.clear();
+            for variant in [&none, &one, &many] {
+                assert!(!can_sequence(variant.hits.len()));
+                let err = recon.reconstruct(variant).unwrap_err();
+                let want = if variant.hits.is_empty() {
+                    ReconError::EnergyOutOfRange
+                } else if variant.hits.len() == 1 {
+                    ReconError::TooFewHits
+                } else {
+                    ReconError::TooManyHits
+                };
+                assert_eq!(err, want, "{} hits", variant.hits.len());
+            }
+            checked += 1;
+        }
+        assert!(checked > 100, "{checked} reconstructable events");
+
+        // and every simulated event outside the range fails
+        for event in &data.events {
+            if !can_sequence(event.hits.len()) {
+                assert!(recon.reconstruct(event).is_err());
+            }
+        }
     }
 
     /// The path `reconstruct_all_counted` replaced: per event, the

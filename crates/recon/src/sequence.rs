@@ -21,6 +21,13 @@ use adapt_sim::MeasuredHit;
 /// factorial; physical ADAPT events almost never exceed this).
 pub const MAX_SEQUENCED_HITS: usize = 5;
 
+/// Whether an event with `n_hits` measured hits can be sequenced: two to
+/// [`MAX_SEQUENCED_HITS`]. Every other event fails reconstruction whatever
+/// its hits hold, so a consumer that only wants rings can drop it unseen.
+pub fn can_sequence(n_hits: usize) -> bool {
+    (2..=MAX_SEQUENCED_HITS).contains(&n_hits)
+}
+
 /// Outcome of sequencing: the ordering (indices into the event's hit list)
 /// and its redundancy score (lower is better; 0 for two-hit events).
 #[derive(Debug, Clone)]
@@ -81,13 +88,19 @@ pub(crate) fn sequence_order(
         MAX_SEQUENCED_HITS == 5,
         "one core per hit count up to the maximum"
     );
-    match hits.len() {
-        0 | 1 => Err(SequenceError::TooFewHits),
+    let n = hits.len();
+    if !can_sequence(n) {
+        return Err(if n < 2 {
+            SequenceError::TooFewHits
+        } else {
+            SequenceError::TooManyHits
+        });
+    }
+    match n {
         2 => sequence_two(hits, eta_margin),
         3 => sequence_many::<3>(hits, eta_margin),
         4 => sequence_many::<4>(hits, eta_margin),
-        5 => sequence_many::<5>(hits, eta_margin),
-        _ => Err(SequenceError::TooManyHits),
+        _ => sequence_many::<5>(hits, eta_margin),
     }
 }
 

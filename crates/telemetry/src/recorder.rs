@@ -97,7 +97,10 @@ pub enum Counter {
     /// Background-rejection loop iterations executed.
     LoopIterations,
     /// Events discarded in reconstruction for non-physical η or
-    /// zero-energy deposits.
+    /// zero-energy deposits. Flight and ground epochs carry only events
+    /// with a sequenceable hit count, so there single-site events below
+    /// the energy floor are never offered and never counted; the trial
+    /// pipeline reconstructs every event and still counts them.
     DegenerateRings,
     /// Feature rows fed into the drift monitor.
     DriftRows,
