@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the pipeline's hot kernels: per-ring
 //! network inference (FP32 and INT8), photon transport, event
-//! reconstruction, the localization stages, and the rayon-vs-sequential
-//! burst simulation ablation called out in DESIGN.md.
+//! reconstruction, one storm lane's event stream, the localization
+//! stages, and the rayon-vs-sequential burst simulation ablation called
+//! out in DESIGN.md.
 
 use adapt_localize::{approximate, refine, ApproxConfig, RefineConfig};
 use adapt_math::sampling::isotropic_direction;
@@ -86,6 +87,18 @@ fn bench_reconstruction(c: &mut Criterion) {
     });
 }
 
+fn bench_stream_source(c: &mut Criterion) {
+    // one storm lane: 8 s of float background at the nominal flight
+    // fluence with one 2 MeV/cm² burst, built, drained and dropped
+    let mut config = StreamConfig::new(FlightProfile::antarctic_ldb(), 8.0)
+        .with_burst(6.0, GrbConfig::new(2.0, 30.0));
+    config.start_h = 20.0;
+    config.background.particle_fluence = adapt_onboard::FLIGHT_NOMINAL_FLUENCE;
+    c.bench_function("stream_burst_source", |b| {
+        b.iter(|| black_box(StreamingSource::new(config.clone(), 13).count()))
+    });
+}
+
 fn synthetic_rings(n_src: usize, n_bkg: usize, seed: u64) -> (Vec<ComptonRing>, UnitVec3) {
     let source = UnitVec3::from_spherical(0.4, 1.0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -149,6 +162,7 @@ criterion_group!(
     bench_inference,
     bench_transport,
     bench_reconstruction,
+    bench_stream_source,
     bench_localization,
     bench_burst_parallelism
 );
