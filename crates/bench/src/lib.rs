@@ -454,35 +454,42 @@ pub fn run_ablations(models: &TrainedModels, spec: TrialSpec) -> String {
 }
 
 /// Burst-trigger study (the "detect" half of detect-and-localize):
-/// detection efficiency and trigger significance vs fluence.
+/// detection efficiency and trigger significance vs fluence, judged by
+/// the flight trigger replayed after a quiet lead.
 pub fn run_detection(spec: TrialSpec) -> String {
-    use adapt_core::trigger::{calibrate_background_rate, scan, TriggerConfig};
+    use adapt_onboard::{OnlineTriggerConfig, TriggerReplay};
     use adapt_sim::{BurstSimulation, GrbConfig};
-    // calibrate the quiet-time rate on a source-free exposure
+    let config = OnlineTriggerConfig::default();
     let quiet = BurstSimulation::with_defaults(GrbConfig::new(1e-9, 0.0));
-    let mut rate = 0.0;
-    let n_cal = 8;
-    for seed in 0..n_cal {
-        rate += calibrate_background_rate(&quiet.simulate(900 + seed).events, 1.0);
-    }
-    let rate = rate / n_cal as f64;
+    let window_s = quiet.duration_s();
+    let lead = (0..TriggerReplay::lead_windows(&config, window_s))
+        .map(|i| quiet.simulate(900 + i as u64).events)
+        .collect();
+    let replay = TriggerReplay::new(config.clone(), window_s, lead);
+    let rate = replay.background_rate_hz().unwrap_or(0.0);
 
     let mut out = format!(
-        "Burst-trigger study (background rate {rate:.0} events/s, 5-sigma threshold)\n\n{:>10} {:>12} {:>16} {:>14}\n",
-        "fluence", "efficiency", "mean max-sigma", "trials"
+        "Burst-trigger study (flight trigger: {:.1}-sigma threshold, min {} counts; \
+         background rate {rate:.0} events/s)\n\n{:>10} {:>12} {:>16} {:>14}\n",
+        config.threshold_sigma,
+        config.min_counts,
+        "fluence",
+        "efficiency",
+        "mean max-sigma",
+        "trials"
     );
     let trials = spec.trials_per_meta * spec.meta_trials;
-    for fluence in [0.01, 0.03, 0.1, 0.3, 1.0] {
+    // the first row is background only: its efficiency is the false-alarm rate
+    for fluence in [1e-9, 0.01, 0.03, 0.1, 0.25, 0.3, 1.0] {
         let sim = BurstSimulation::with_defaults(GrbConfig::new(fluence, 0.0));
         let mut detected = 0usize;
         let mut sig_sum = 0.0;
         for t in 0..trials {
-            let data = sim.simulate(3000 + t as u64);
-            let res = scan(&data.events, 1.0, rate, &TriggerConfig::default());
-            if res.detected {
+            let verdict = replay.judge(sim.simulate(3000 + t as u64).events);
+            if verdict.fired {
                 detected += 1;
             }
-            sig_sum += res.max_significance;
+            sig_sum += verdict.sigma;
         }
         out.push_str(&format!(
             "{:>10.2} {:>12.2} {:>16.1} {:>14}\n",

@@ -2,8 +2,8 @@
 
 use crate::args::Args;
 use adapt_core::prelude::*;
-use adapt_core::trigger::{calibrate_background_rate, scan, TriggerConfig};
 use adapt_localize::{SkyPixelization, SkyPosterior};
+use adapt_onboard::{OnlineTriggerConfig, TriggerReplay};
 use adapt_recon::Reconstructor;
 use adapt_sim::{BurstSimulation, ParticleOrigin};
 use std::path::Path;
@@ -182,19 +182,27 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         grb_rings,
         rings.len() - grb_rings
     );
-    // trigger check against a quick quiet-time calibration
+    // the flight trigger, calibrated on quiet windows ahead of this one
+    let config = OnlineTriggerConfig::default();
+    let threshold = config.threshold_sigma;
     let quiet = BurstSimulation::with_defaults(GrbConfig::new(1e-9, 0.0));
-    let rate = calibrate_background_rate(&quiet.simulate(seed ^ 0xBEEF).events, 1.0);
-    let trig = scan(&data.events, 1.0, rate, &TriggerConfig::default());
+    let lead = (0..TriggerReplay::lead_windows(&config, sim.duration_s()))
+        .map(|i| {
+            quiet
+                .simulate((seed ^ 0xBEEF).wrapping_add(i as u64))
+                .events
+        })
+        .collect();
+    let verdict = TriggerReplay::new(config, sim.duration_s(), lead).judge(data.events);
     println!(
-        "trigger: {} (max significance {:.1} sigma at t = {:.3} s)",
-        if trig.detected {
+        "trigger: {} (max significance {:.1} sigma at t = {:.3} s, threshold {threshold:.1} sigma)",
+        if verdict.fired {
             "DETECTED"
         } else {
             "no detection"
         },
-        trig.max_significance,
-        trig.trigger_time_s
+        verdict.sigma,
+        verdict.t_s
     );
     Ok(())
 }

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `adapt` binary's exit-code contract: corrupt
-//! telemetry captures must fail loudly (nonzero exit), the tracked-run
+//! telemetry captures must fail loudly (nonzero exit), `adapt simulate`
+//! must report the flight trigger's verdict, the tracked-run
 //! inspection subcommands must round-trip a run written by the tracker,
 //! and the live-observability surface (crash hook, SLO breaches, `adapt
 //! top`, causal traces) must hold its contracts end to end.
@@ -133,6 +134,22 @@ fn unknown_subcommand_exits_nonzero() {
 /// Satellite: a panicking runtime must exit nonzero, leave a greppable
 /// `health: crashed` verdict on stderr, and flush the flight recorder so
 /// the capture up to the crash still validates.
+#[test]
+fn simulate_reports_the_flight_trigger_verdict() {
+    for (fluence, verdict) in [
+        ("1.0", "trigger: DETECTED"),
+        ("0.000001", "trigger: no detection"),
+    ] {
+        let out = adapt(&["simulate", "--fluence", fluence]);
+        assert!(out.status.success(), "simulate --fluence {fluence} failed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.lines().any(|l| l.starts_with(verdict)),
+            "--fluence {fluence} should print '{verdict}', got: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn crash_hook_flushes_telemetry_and_reports_health() {
     let dir = temp_dir("crash");

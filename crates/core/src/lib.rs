@@ -31,24 +31,20 @@
 
 pub mod experiments;
 pub mod pipeline;
-pub mod report;
 pub mod timing;
 pub mod training;
-pub mod trigger;
 
 pub use experiments::{
     containment_experiment, fluence_sweep, format_rows, noise_sweep, polar_sweep, ContainmentStats,
     FigureRow, TrialSpec,
 };
 pub use pipeline::{Pipeline, PipelineMode, TrialOutcome, TrialTimings};
-pub use report::{ExperimentRecord, SCHEMA_VERSION};
 pub use timing::{measure_stages, StageRow, TimingTable};
 pub use training::{
     background_dataset, d_eta_dataset, feature_schema_hash, generate_training_rings, train_models,
     train_models_tracked, LabeledRing, ModelLoadError, ModelProvenance, TrainedModels,
     TrainingCampaignConfig, FEATURE_SCHEMA, MODELS_SCHEMA,
 };
-pub use trigger::{calibrate_background_rate, scan, TriggerConfig, TriggerResult};
 
 /// Everything a downstream user typically needs in one import.
 pub mod prelude {

@@ -15,7 +15,9 @@
 //! - [`queue::BoundedQueue`] decouples the pipeline stages with explicit
 //!   capacity, drop policy, and depth accounting;
 //! - [`trigger::OnlineTrigger`] watches the event rate through sliding
-//!   windows and opens a localization epoch on a significant excess;
+//!   windows and opens a localization epoch on a significant excess; it is
+//!   the only rate trigger, and [`trigger::TriggerReplay`] runs it over
+//!   batch burst windows for `adapt simulate` and the detection study;
 //! - [`scheduler::EpochScheduler`] is the one degradation ladder: it
 //!   schedules each epoch's localization under a deadline, degrading
 //!   `full-ml → reduced-ml → coarse-skymap → classical` as the budget or
@@ -44,7 +46,7 @@ pub use runtime::{
     FlightRunReport, FlightRuntime, GrbAlert, RuntimeConfig, TruthMatchReport,
 };
 pub use scheduler::{epoch_rng_seed, EpochScheduler, ScheduledEpoch, COST_PRIORS_MS};
-pub use trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch};
+pub use trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch, ReplayVerdict, TriggerReplay};
 
 /// Background `particle_fluence` (per second) giving a flight-plausible
 /// measured rate — roughly 150 events/s at float altitude — that the

@@ -1,14 +1,17 @@
-//! Online sliding-window rate trigger.
+//! Online sliding-window rate trigger — the system's one burst trigger.
 //!
-//! The offline trigger (`adapt_core::trigger`) scans a finished light
-//! curve; in flight the decision must be made event by event. This
-//! trigger keeps a rolling background-rate estimate over a trailing
-//! calibration window, evaluates the same multi-width significance test
-//! at every arrival (Gaussian approximation `(n − λ)/√λ` as in the
-//! offline scan, plus a minimum-count guard so tiny expected counts
-//! cannot manufacture significance), and on firing opens a *localization
-//! epoch*: the events from `pre_window_s` before the trigger through
-//! `post_window_s` after it, handed to the localizer as one batch.
+//! In flight the decision must be made event by event. This trigger
+//! keeps a rolling background-rate estimate over a trailing calibration
+//! window, evaluates a multi-width significance test at every arrival
+//! (Gaussian approximation `(n − λ)/√λ`, plus a minimum-count guard so
+//! tiny expected counts cannot manufacture significance), and on firing
+//! opens a *localization epoch*: the events from `pre_window_s` before
+//! the trigger through `post_window_s` after it, handed to the localizer
+//! as one batch.
+//!
+//! Batch studies judge a simulated burst window with the same trigger:
+//! [`TriggerReplay`] calibrates it on a quiet lead and replays the window
+//! after it.
 //!
 //! Every arrival counts toward the rates, but only events reconstruction
 //! can sequence ([`can_sequence`]: two hits up to the sequencer's limit)
@@ -31,9 +34,8 @@ use serde::{Deserialize, Serialize};
 pub struct OnlineTriggerConfig {
     /// Sliding-window widths evaluated at each arrival (s).
     pub window_widths_s: Vec<f64>,
-    /// Significance threshold (Gaussian sigmas). Slightly above the
-    /// offline scan's 5σ: the online test runs at every arrival for
-    /// hours, so the look-elsewhere budget is larger.
+    /// Significance threshold (Gaussian sigmas). The test runs at every
+    /// arrival for hours, so the look-elsewhere budget is large.
     pub threshold_sigma: f64,
     /// Minimum counts in the winning window — the Gaussian approximation
     /// is anticonservative at tiny expected counts.
@@ -96,7 +98,8 @@ pub struct OnlineTrigger {
     times: Vec<f64>,
     times_head: usize,
     /// Recent sequenceable events inside the pre-window horizon (epoch
-    /// seeding).
+    /// seeding). Arrivals that no later fire's pre-window can reach are not
+    /// kept.
     recent: Vec<StreamedEvent>,
     recent_head: usize,
     /// Rate calibration restarts at this stream time.
@@ -262,7 +265,9 @@ impl OnlineTrigger {
 
         let sequenceable = can_sequence(se.event.hits.len());
         self.times.push(t);
-        if sequenceable {
+        // the next fire comes at or after `frozen_until_s`, so its
+        // pre-window never reaches back before `frozen_until_s − pre`
+        if sequenceable && t >= self.frozen_until_s - self.config.pre_window_s {
             self.recent.push(se.clone());
         }
         self.purge(t);
@@ -347,6 +352,108 @@ impl OnlineTrigger {
     pub fn flush(&mut self) -> Option<OpenEpoch> {
         self.epoch.take()
     }
+}
+
+/// The trigger's verdict on one replayed burst window.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplayVerdict {
+    /// Whether the trigger fired inside the window.
+    pub fired: bool,
+    /// The crossing window's significance if it fired, else the largest
+    /// significance evaluated in the window (0 when none was evaluated).
+    pub sigma: f64,
+    /// Time of that decision from the window start (s).
+    pub t_s: f64,
+}
+
+/// Judges batch burst windows (`BurstSimulation` event lists) with the
+/// flight trigger. A quiet lead calibrates the trigger once; each judged
+/// window then continues from a copy of that state, laid end to end after
+/// the lead.
+#[derive(Debug)]
+pub struct TriggerReplay {
+    trigger: OnlineTrigger,
+    /// Stream time of the judged window's start (s).
+    window_start_s: f64,
+}
+
+impl TriggerReplay {
+    /// Quiet windows of `window_s` a lead needs to arm the trigger before
+    /// the judged window starts: ⌈`min_calibration_s` / `window_s`⌉ + 1.
+    pub fn lead_windows(config: &OnlineTriggerConfig, window_s: f64) -> usize {
+        (config.min_calibration_s / window_s).ceil() as usize + 1
+    }
+
+    /// Calibrate `config`'s trigger on the `lead` windows, each `window_s`
+    /// long, in order.
+    pub fn new(config: OnlineTriggerConfig, window_s: f64, lead: Vec<Vec<Event>>) -> Self {
+        let mut trigger = OnlineTrigger::new(config);
+        let window_start_s = lead.len() as f64 * window_s;
+        for (i, events) in lead.into_iter().enumerate() {
+            for se in stream_window(events, i as f64 * window_s) {
+                trigger.observe(&se);
+            }
+        }
+        TriggerReplay {
+            trigger,
+            window_start_s,
+        }
+    }
+
+    /// The background-rate estimate the lead left (Hz), if calibrated.
+    pub fn background_rate_hz(&self) -> Option<f64> {
+        self.trigger.background_rate_hz()
+    }
+
+    /// Replay `window` after the lead.
+    pub fn judge(&self, window: Vec<Event>) -> ReplayVerdict {
+        let mut best: Option<(f64, f64)> = None;
+        for rec in self.decisions(window) {
+            if rec.fired {
+                let crossing = rec
+                    .windows
+                    .iter()
+                    .find(|w| w.sigma >= rec.threshold_sigma)
+                    .expect("a fired record carries its crossing window");
+                return ReplayVerdict {
+                    fired: true,
+                    sigma: crossing.sigma,
+                    t_s: rec.t_s - self.window_start_s,
+                };
+            }
+            for w in &rec.windows {
+                if best.is_none_or(|(sigma, _)| w.sigma > sigma) {
+                    best = Some((w.sigma, rec.t_s));
+                }
+            }
+        }
+        let (sigma, t) = best.unwrap_or((0.0, self.window_start_s));
+        ReplayVerdict {
+            fired: false,
+            sigma,
+            t_s: t - self.window_start_s,
+        }
+    }
+
+    /// Every decision record of `window`'s replay, in arrival order.
+    fn decisions(&self, window: Vec<Event>) -> impl Iterator<Item = TriggerDecisionRecord> {
+        let mut trigger = self.trigger.clone();
+        stream_window(window, self.window_start_s)
+            .filter_map(move |se| trigger.observe_explained(&se, true).1)
+    }
+}
+
+/// `events` stably ordered by arrival time and shifted to start at
+/// `offset_s` of the replay stream.
+fn stream_window(mut events: Vec<Event>, offset_s: f64) -> impl Iterator<Item = StreamedEvent> {
+    events.sort_by(|a, b| a.arrival_time.total_cmp(&b.arrival_time));
+    events.into_iter().map(move |mut event| {
+        event.arrival_time += offset_s;
+        StreamedEvent {
+            t_s: event.arrival_time,
+            event,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -521,58 +628,91 @@ mod tests {
         floats.into_iter().map(f64::to_bits).collect()
     }
 
-    #[test]
-    fn epoch_holds_the_sequenceable_arrivals_of_its_window() {
+    /// Run `cfg`'s trigger over a flight stream at float altitude with a
+    /// bright burst at each onset, and check every epoch holds exactly the
+    /// sequenceable arrivals of its window, with the rings of all of them.
+    fn epochs_of_flight_stream(cfg: OnlineTriggerConfig, onsets_s: &[f64]) -> Vec<OpenEpoch> {
         use adapt_recon::Reconstructor;
         use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
-        // flight background at float altitude with one bright burst
-        let mut config = StreamConfig::new(FlightProfile::checkout_2h(), 8.0)
-            .with_burst(4.0, GrbConfig::new(1.0, 0.0));
+        let duration_s = onsets_s.last().unwrap() + 4.0;
+        let mut config = StreamConfig::new(FlightProfile::checkout_2h(), duration_s);
+        for &t in onsets_s {
+            config = config.with_burst(t, GrbConfig::new(1.0, 0.0));
+        }
         config.start_h = 1.9;
         config.background.particle_fluence = crate::FLIGHT_NOMINAL_FLUENCE;
         let arrivals: Vec<StreamedEvent> = StreamingSource::new(config, 0xE90C).collect();
 
-        let cfg = OnlineTriggerConfig::default();
         let pre = cfg.pre_window_s;
         let mut trig = OnlineTrigger::new(cfg);
         let mut epochs: Vec<OpenEpoch> =
             arrivals.iter().filter_map(|se| trig.observe(se)).collect();
         epochs.extend(trig.flush());
-        assert_eq!(epochs.len(), 1, "one burst, one epoch");
-        let ep = &epochs[0];
+        assert_eq!(epochs.len(), onsets_s.len(), "one epoch per burst");
 
-        let window: Vec<Event> = arrivals
+        for ep in &epochs {
+            let window: Vec<Event> = arrivals
+                .iter()
+                .filter(|se| se.t_s >= ep.t_trigger_s - pre && se.t_s <= ep.collect_until_s)
+                .map(|se| se.event.clone())
+                .collect();
+            let sequenceable: Vec<&Event> = window
+                .iter()
+                .filter(|e| can_sequence(e.hits.len()))
+                .collect();
+            assert!(
+                sequenceable.len() * 2 < window.len(),
+                "flight background is mostly single-site: {} of {}",
+                sequenceable.len(),
+                window.len()
+            );
+            let json = |e: &Event| serde_json::to_string(e).unwrap();
+            assert_eq!(ep.events.len(), sequenceable.len());
+            for (i, (got, want)) in ep.events.iter().zip(&sequenceable).enumerate() {
+                assert_eq!(json(got), json(want), "epoch event {i}");
+            }
+
+            // the unbuffered events never formed a ring: same rings, same order
+            let recon = Reconstructor::default();
+            let noop = adapt_telemetry::noop();
+            let (rings, counts) = recon.reconstruct_all_counted(&ep.events, noop);
+            let (want, want_counts) = recon.reconstruct_all_counted(&window, noop);
+            assert!(!rings.is_empty());
+            assert_eq!(counts.reconstructed, want_counts.reconstructed);
+            assert_eq!(rings.len(), want.len());
+            for (i, (got, want)) in rings.iter().zip(&want).enumerate() {
+                assert_eq!(ring_bits(got), ring_bits(want), "ring {i}");
+            }
+        }
+        epochs
+    }
+
+    #[test]
+    fn epoch_holds_the_sequenceable_arrivals_of_its_window() {
+        epochs_of_flight_stream(OnlineTriggerConfig::default(), &[4.0]);
+
+        // a refractory shorter than the pre-window: the second burst's
+        // pre-window reaches back through the first epoch's refractory
+        // into the epoch itself, so arrivals there must still be buffered
+        let cfg = OnlineTriggerConfig {
+            pre_window_s: 3.0,
+            refractory_s: 0.5,
+            min_calibration_s: 0.5,
+            ..OnlineTriggerConfig::default()
+        };
+        let (pre, post, refractory) = (cfg.pre_window_s, cfg.post_window_s, cfg.refractory_s);
+        let epochs = epochs_of_flight_stream(cfg, &[3.0, 5.8]);
+        let frozen_until = epochs[0].t_trigger_s + post + refractory;
+        assert!(epochs[1].t_trigger_s - pre < epochs[0].t_trigger_s);
+        let reached_back = epochs[1]
+            .events
             .iter()
-            .filter(|se| se.t_s >= ep.t_trigger_s - pre && se.t_s <= ep.collect_until_s)
-            .map(|se| se.event.clone())
-            .collect();
-        let sequenceable: Vec<&Event> = window
-            .iter()
-            .filter(|e| can_sequence(e.hits.len()))
-            .collect();
+            .filter(|e| e.arrival_time < frozen_until)
+            .count();
         assert!(
-            sequenceable.len() * 2 < window.len(),
-            "flight background is mostly single-site: {} of {}",
-            sequenceable.len(),
-            window.len()
+            reached_back > 100,
+            "{reached_back} events before {frozen_until} s"
         );
-        let json = |e: &Event| serde_json::to_string(e).unwrap();
-        assert_eq!(ep.events.len(), sequenceable.len());
-        for (i, (got, want)) in ep.events.iter().zip(&sequenceable).enumerate() {
-            assert_eq!(json(got), json(want), "epoch event {i}");
-        }
-
-        // the unbuffered events never formed a ring: same rings, same order
-        let recon = Reconstructor::default();
-        let noop = adapt_telemetry::noop();
-        let (rings, counts) = recon.reconstruct_all_counted(&ep.events, noop);
-        let (want, want_counts) = recon.reconstruct_all_counted(&window, noop);
-        assert!(!rings.is_empty());
-        assert_eq!(counts.reconstructed, want_counts.reconstructed);
-        assert_eq!(rings.len(), want.len());
-        for (i, (got, want)) in rings.iter().zip(&want).enumerate() {
-            assert_eq!(ring_bits(got), ring_bits(want), "ring {i}");
-        }
     }
 
     #[test]
@@ -585,5 +725,103 @@ mod tests {
         trig.observe(&dummy_event(60.001));
         trig.observe(&dummy_event(60.002));
         assert!(!trig.has_open_epoch(), "min_counts must gate the trigger");
+    }
+
+    /// The flight trigger calibrated on quiet windows from `seed` on.
+    fn quiet_lead(seed: u64) -> TriggerReplay {
+        use adapt_sim::{BurstSimulation, GrbConfig};
+        let quiet = BurstSimulation::with_defaults(GrbConfig::new(1e-6, 0.0));
+        let cfg = OnlineTriggerConfig::default();
+        let lead = (0..TriggerReplay::lead_windows(&cfg, quiet.duration_s()))
+            .map(|i| quiet.simulate(seed + i as u64).events)
+            .collect();
+        TriggerReplay::new(cfg, quiet.duration_s(), lead)
+    }
+
+    fn burst_window(fluence: f64, seed: u64) -> Vec<Event> {
+        use adapt_sim::{BurstSimulation, GrbConfig};
+        BurstSimulation::with_defaults(GrbConfig::new(fluence, 0.0))
+            .simulate(seed)
+            .events
+    }
+
+    #[test]
+    fn bright_burst_triggers() {
+        let verdict = quiet_lead(1).judge(burst_window(1.0, 2));
+        assert!(
+            verdict.fired,
+            "1 MeV/cm^2 burst must trigger (sigma {:.1})",
+            verdict.sigma
+        );
+        assert!(verdict.sigma >= OnlineTriggerConfig::default().threshold_sigma);
+        // the FRED pulse starts at 0.1 s: the trigger fires near the pulse
+        assert!(
+            (0.0..0.6).contains(&verdict.t_s),
+            "trigger at {} s",
+            verdict.t_s
+        );
+    }
+
+    #[test]
+    fn background_only_does_not_trigger() {
+        let replay = quiet_lead(3);
+        let false_alarms = (10..20)
+            .filter(|&seed| replay.judge(burst_window(1e-6, seed)).fired)
+            .count();
+        assert!(false_alarms <= 1, "{false_alarms}/10 false alarms");
+    }
+
+    #[test]
+    fn detection_efficiency_grows_with_fluence() {
+        let replay = quiet_lead(4);
+        let efficiency = |fluence: f64| {
+            let hits = (0..8)
+                .filter(|seed| replay.judge(burst_window(fluence, 100 + seed)).fired)
+                .count();
+            hits as f64 / 8.0
+        };
+        let dim = efficiency(0.02);
+        let bright = efficiency(1.0);
+        assert!(bright > dim, "bright {bright} !> dim {dim}");
+        assert_eq!(bright, 1.0, "bright bursts always detected");
+    }
+
+    #[test]
+    fn empty_event_list() {
+        let verdict = quiet_lead(5).judge(Vec::new());
+        assert!(!verdict.fired);
+        assert!(verdict.sigma <= 0.0);
+    }
+
+    #[test]
+    fn zero_background_rate_is_safe() {
+        use adapt_sim::{
+            BackgroundConfig, BurstSimulation, DetectorConfig, GrbConfig, PerturbationConfig,
+        };
+        let sim = |fluence: f64| {
+            BurstSimulation::new(
+                DetectorConfig::default(),
+                GrbConfig::new(fluence, 0.0),
+                BackgroundConfig {
+                    particle_fluence: 0.0,
+                    ..BackgroundConfig::default()
+                },
+                PerturbationConfig::default(),
+            )
+        };
+        // no background anywhere: the rate estimate is the burst's own
+        let cfg = OnlineTriggerConfig::default();
+        let lead = (0..TriggerReplay::lead_windows(&cfg, 1.0))
+            .map(|i| sim(1e-6).simulate(i as u64).events)
+            .collect();
+        let replay = TriggerReplay::new(cfg, 1.0, lead);
+        let window = sim(0.5).simulate(5).events;
+        assert!(!window.is_empty());
+        for rec in replay.decisions(window.clone()) {
+            for w in &rec.windows {
+                assert!(w.sigma.is_finite(), "sigma {} at {} s", w.sigma, rec.t_s);
+            }
+        }
+        assert!(replay.judge(window).sigma.is_finite());
     }
 }
