@@ -37,10 +37,12 @@
 //! * `ADAPT_BENCH_ALLOW_REGRESSION=1` — report regressions but exit 0.
 //!   Use when landing a change that knowingly trades a gated metric for
 //!   something else; commit the regenerated baseline in the same PR.
-//! * `ADAPT_BENCH_WALL_TOLERANCE` — gated-metric tolerance as a
-//!   fraction (default `0.50`).
 
 use serde::Value;
+
+/// Gated-metric tolerance as a fraction: a candidate regresses when a
+/// metric falls below `baseline / (1 + TOLERANCE)`.
+const TOLERANCE: f64 = 0.50;
 
 /// A gated metric: JSON path through the report plus the values found.
 struct Gated {
@@ -155,7 +157,7 @@ fn gated_metrics(report: &Value, kind: Kind) -> Vec<(String, f64)> {
 }
 
 /// Compare candidate against baseline; returns the regressions found.
-fn regressions(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64) -> Vec<Gated> {
+fn regressions(baseline: &Value, candidate: &Value, kind: Kind) -> Vec<Gated> {
     let base: Vec<(String, f64)> = gated_metrics(baseline, kind);
     let cand: Vec<(String, f64)> = gated_metrics(candidate, kind);
     let mut out = Vec::new();
@@ -175,7 +177,7 @@ fn regressions(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64) 
         }
         // a NaN candidate (unparseable number) must also count as a
         // regression, hence the explicit is_nan arm
-        if *c < b / (1.0 + tolerance) || c.is_nan() {
+        if *c < b / (1.0 + TOLERANCE) || c.is_nan() {
             out.push(Gated {
                 path: path.clone(),
                 baseline: *b,
@@ -256,7 +258,7 @@ fn contract_violation(candidate: &Value, kind: Kind) -> Option<String> {
 }
 
 /// Run one gate comparison, printing the verdict. Returns pass/fail.
-fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64, allow: bool) -> bool {
+fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, allow: bool) -> bool {
     if let Some(violation) = contract_violation(candidate, kind) {
         // correctness, not performance: the override does not apply
         eprintln!("GATE FAIL (not overridable): {violation}");
@@ -268,13 +270,13 @@ fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64, all
             return false;
         }
     }
-    let found = regressions(baseline, candidate, kind, tolerance);
+    let found = regressions(baseline, candidate, kind);
     if found.is_empty() {
         println!(
             "bench gate PASS ({}): {} gated metrics within {:.0}% of baseline",
             kind.name(),
             gated_metrics(baseline, kind).len(),
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         return true;
     }
@@ -284,7 +286,7 @@ fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64, all
             r.path,
             r.baseline,
             r.candidate,
-            r.baseline / (1.0 + tolerance)
+            r.baseline / (1.0 + TOLERANCE)
         );
     }
     if allow {
@@ -302,7 +304,7 @@ fn run_gate(baseline: &Value, candidate: &Value, kind: Kind, tolerance: f64, all
         kind.name(),
         found.len(),
         gated_metrics(baseline, kind).len(),
-        tolerance * 100.0
+        TOLERANCE * 100.0
     );
     false
 }
@@ -340,24 +342,20 @@ fn slowed(v: &Value, factor: f64) -> Value {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let tolerance: f64 = std::env::var("ADAPT_BENCH_WALL_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.50);
     let allow = std::env::var("ADAPT_BENCH_ALLOW_REGRESSION").as_deref() == Ok("1");
 
     match args.as_slice() {
         [flag, baseline_path] if flag == "--self-test" => {
             let (baseline, kind) = load(baseline_path);
             // an injected slowdown safely beyond the tolerance
-            let factor = (1.0 + tolerance) * 1.1;
+            let factor = (1.0 + TOLERANCE) * 1.1;
             // arm 1: baseline vs itself must pass
             println!(
                 "self-test 1/2 ({}): baseline vs itself (must pass)",
                 kind.name()
             );
             assert!(
-                run_gate(&baseline, &baseline, kind, tolerance, false),
+                run_gate(&baseline, &baseline, kind, false),
                 "self-test failed: gate rejected a baseline identical to itself"
             );
             // arm 2: the injected slowdown on every gated metric must fail
@@ -367,7 +365,7 @@ fn main() {
             );
             let injected = slowed(&baseline, factor);
             assert!(
-                !run_gate(&baseline, &injected, kind, tolerance, false),
+                !run_gate(&baseline, &injected, kind, false),
                 "self-test failed: gate accepted an injected regression beyond tolerance"
             );
             println!("bench gate self-test PASS ({})", kind.name());
@@ -383,7 +381,7 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            if !run_gate(&baseline, &candidate, kind, tolerance, allow) {
+            if !run_gate(&baseline, &candidate, kind, allow) {
                 std::process::exit(1);
             }
         }
@@ -401,8 +399,6 @@ fn main() {
 mod tests {
     use super::*;
 
-    const TOLERANCE: f64 = 0.5;
-
     fn parse(json: &str) -> Value {
         serde_json::from_str(json).expect("test report parses")
     }
@@ -411,7 +407,7 @@ mod tests {
     /// the baseline as `main` does.
     fn passes(baseline: &Value, candidate: &Value, allow: bool) -> bool {
         let kind = Kind::detect(baseline).expect("a matrix or calibration report");
-        run_gate(baseline, candidate, kind, TOLERANCE, allow)
+        run_gate(baseline, candidate, kind, allow)
     }
 
     /// One matrix cell; the false-alert rate is 18/h per alert (200 s).

@@ -28,11 +28,10 @@
 //!
 //! Every burst is seed-deterministic (campaign seed mixed with the cell
 //! coordinates and burst index), so any burst replays bit-identically.
-//! `adapt calibrate` and the `bench_calibration` binary drive
-//! [`run_calibration`] and write the schema-versioned
-//! `BENCH_calibration.json` consumed by `bench_gate` (coverage drifting
-//! out of its binomial band is a contract violation) and rendered into
-//! EXPERIMENTS.md.
+//! `adapt calibrate` drives [`run_calibration`] and writes the
+//! schema-versioned `BENCH_calibration.json` consumed by `bench_gate`
+//! (coverage drifting out of its binomial band is a contract violation)
+//! and rendered into EXPERIMENTS.md.
 
 use crate::EnvReport;
 use adapt_core::prelude::*;
@@ -336,7 +335,8 @@ pub fn run_calibration(models: &TrainedModels, config: &CalibrationConfig) -> Ca
         schema: CALIBRATION_SCHEMA,
         description: format!(
             "coverage calibration: {} bursts x {:?} background scales, credibilities {:?}; \
-             regenerate with `cargo run --release -p adapt-bench --bin bench_calibration`",
+             regenerate with `adapt train --scale fast --seed 44455 --out models.json && \
+             adapt calibrate --models models.json`",
             config.bursts, config.background_scales, config.credibilities
         ),
         env: EnvReport::capture(),

@@ -9,10 +9,9 @@
 //! near a truth onset) into an optional per-cell NDJSON file that
 //! `adapt telemetry-report --forensics` can explain after the fact.
 //!
-//! `adapt matrix` and the `bench_matrix` binary drive
-//! [`run_matrix`] and write the schema-versioned `BENCH_matrix.json`
-//! consumed by `bench_gate` (detection-efficiency regressions are
-//! contract violations) and rendered into EXPERIMENTS.md.
+//! `adapt matrix` drives [`run_matrix`] and writes the schema-versioned
+//! `BENCH_matrix.json` consumed by `bench_gate` (detection-efficiency
+//! regressions are contract violations) and rendered into EXPERIMENTS.md.
 
 use crate::EnvReport;
 use adapt_core::training::TrainedModels;
@@ -462,7 +461,8 @@ pub fn run_matrix(models: &TrainedModels, config: &MatrixConfig) -> (MatrixRepor
         schema: MATRIX_SCHEMA,
         description: format!(
             "trigger robustness matrix: {} scenarios x {:?} background x {:?} sigma, \
-             {}s cells; regenerate with `cargo run --release -p adapt-bench --bin bench_matrix`",
+             {}s cells; regenerate with `adapt train --scale fast --seed 44455 --out \
+             models.json && adapt matrix --models models.json`",
             specs.len(),
             config.background_scales,
             config.threshold_sigmas,

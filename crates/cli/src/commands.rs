@@ -27,7 +27,6 @@ SUBCOMMANDS:
                --seed <=42> --reps <trials per mode=1>
                --mode <ml|baseline|quantized|no-polar|oracle-no-background|
                        oracle-true-deta|all=ml>
-               --backend <float|int8=float> (background-net arithmetic for --mode ml)
                --telemetry <path> (capture a flight-recorder NDJSON file,
                including feature-drift PSI counters for ML modes)
     telemetry-report
@@ -59,8 +58,7 @@ SUBCOMMANDS:
                --slo-max-deadline-burn / --slo-max-queue-fill /
                --slo-stall-factor / --slo-max-alerts-per-hour /
                --slo-alert-window-s / --slo-max-drift-flagged
-               (override SLO watchdog thresholds; defaults come from the
-               ADAPT_SLO_* environment, see `adapt help` notes)
+               (override SLO watchdog thresholds; the defaults are built in)
     serve      run the multi-tenant ground service over a synthesized fleet
                --models <path=models.json> --streams <tenant count=8>
                --duration-s <stream seconds per tenant=60>
@@ -269,7 +267,6 @@ pub fn localize(args: &Args) -> Result<(), String> {
         "angle",
         "seed",
         "mode",
-        "backend",
         "telemetry",
         "reps",
     ])?;
@@ -296,14 +293,11 @@ pub fn localize(args: &Args) -> Result<(), String> {
                 )
             })?]
     };
-    let backend_flag = args.get_or("backend", "float");
-    let backend = adapt_localize::InferenceBackend::parse(&backend_flag)
-        .ok_or_else(|| format!("unknown backend '{backend_flag}' (float|int8)"))?;
     let telemetry_path = args.get("telemetry");
 
     let recorder = adapt_telemetry::FlightRecorder::new();
     let drift_monitor = adapt_telemetry::DriftMonitor::new(models.drift_reference.clone());
-    let mut pipeline = Pipeline::new(&models).with_backend(backend);
+    let mut pipeline = Pipeline::new(&models);
     if telemetry_path.is_some() {
         pipeline = pipeline
             .with_recorder(&recorder)
@@ -324,12 +318,8 @@ pub fn localize(args: &Args) -> Result<(), String> {
                 degenerate_rings: out.degenerate_rings,
                 total_ms: out.timings.total.as_secs_f64() * 1e3,
             });
-            let backend_tag = match mode {
-                PipelineMode::Ml => format!(" [{backend} backend]"),
-                _ => String::new(),
-            };
             println!(
-                "{}{backend_tag}: error {:.2} deg | {} rings in, {} surviving, \
+                "{}: error {:.2} deg | {} rings in, {} surviving, \
                  {} degenerate | total {:.1} ms",
                 mode.label(),
                 out.error_deg,
@@ -452,10 +442,10 @@ fn build_live(
     if every_s <= 0.0 {
         return Err("--snapshot-every-s must be > 0".into());
     }
-    // Thresholds layer: built-in defaults < ADAPT_SLO_* environment <
-    // explicit --slo-* flags. `deadline_ms` always tracks the runtime's
-    // own deadline flag so the watchdog and the scheduler agree.
-    let mut slo = adapt_telemetry::SloConfig::from_env();
+    // Thresholds: built-in defaults, overridden by explicit --slo-* flags.
+    // `deadline_ms` always tracks the runtime's own deadline flag so the
+    // watchdog and the scheduler agree.
+    let mut slo = adapt_telemetry::SloConfig::default();
     slo.deadline_ms = deadline_ms;
     slo.max_deadline_burn = args.get_parse_or("slo-max-deadline-burn", slo.max_deadline_burn)?;
     slo.max_queue_fill = args.get_parse_or("slo-max-queue-fill", slo.max_queue_fill)?;

@@ -219,6 +219,35 @@ fn slo_breach_fails_serve_and_top_renders_the_live_stream() {
     );
     assert!(stderr.contains("SLO health check"), "stderr: {stderr}");
 
+    // the same fleet under a raised --slo-* budget: the flag must reach
+    // the watchdog, so the alert-rate check holds
+    let relaxed = dir.join("relaxed.ndjson");
+    let out = adapt(&[
+        "serve",
+        "--models",
+        models_path(),
+        "--streams",
+        "2",
+        "--duration-s",
+        "30",
+        "--seed",
+        "42",
+        "--live-out",
+        relaxed.to_str().unwrap(),
+        "--fail-on-slo-breach",
+        "--slo-max-alerts-per-hour",
+        "1000",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("health: alert-rate OK"),
+        "a 1000/h budget must hold: {stdout}"
+    );
+    assert!(
+        !stdout.contains("health: alert-rate BREACH"),
+        "a 1000/h budget must not breach: {stdout}"
+    );
+
     let top = adapt(&["top", "--input", live.to_str().unwrap(), "--once"]);
     assert!(
         top.status.success(),

@@ -15,11 +15,11 @@
 
 use crate::training::TrainedModels;
 use adapt_localize::{
-    BackgroundModel, BaselineLocalizer, InferenceBackend, InferenceWorkspace, MlLocalizer,
-    MlPipelineConfig, StageTimings,
+    BackgroundModel, BaselineLocalizer, InferenceWorkspace, MlLocalizer, MlPipelineConfig,
+    StageTimings,
 };
 use adapt_math::angles::angular_separation;
-use adapt_nn::CompiledMlp;
+use adapt_nn::{CompiledMlp, Mlp, ThresholdTable};
 use adapt_recon::{ComptonRing, ReconCounts, Reconstructor};
 use adapt_sim::{
     BackgroundConfig, BurstSimulation, DetectorConfig, GrbConfig, GrbSource, PerturbationConfig,
@@ -119,7 +119,6 @@ pub struct Pipeline<'a> {
     compiled_background_no_polar: CompiledMlp,
     reconstructor: Reconstructor,
     ml_config: MlPipelineConfig,
-    backend: InferenceBackend,
     detector: DetectorConfig,
     background: BackgroundConfig,
     recorder: &'a dyn Recorder,
@@ -135,7 +134,6 @@ impl<'a> Pipeline<'a> {
             compiled_background_no_polar: CompiledMlp::compile(&models.background_no_polar),
             reconstructor: Reconstructor::default(),
             ml_config: MlPipelineConfig::default(),
-            backend: InferenceBackend::default(),
             detector: DetectorConfig::default(),
             background: BackgroundConfig::default(),
             recorder: adapt_telemetry::noop(),
@@ -201,16 +199,6 @@ impl<'a> Pipeline<'a> {
             report.features_flagged as u64,
         );
         Some(report)
-    }
-
-    /// Select the background-network arithmetic for [`PipelineMode::Ml`]:
-    /// the compiled FP32 plan (default) or the compiled fixed-point INT8
-    /// plan. The no-polar ablation always runs FP32 (no quantized
-    /// 12-input net is trained), and [`PipelineMode::MlQuantized`] is
-    /// INT8 by definition.
-    pub fn with_backend(mut self, backend: InferenceBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// The expected number of GRB photons geometrically intercepted for a
@@ -331,53 +319,33 @@ impl<'a> Pipeline<'a> {
                 };
                 (res.map(|r| r.direction), rings_in, timings)
             }
-            PipelineMode::Ml => {
-                let bkg: &dyn BackgroundModel = match self.backend {
-                    InferenceBackend::Float => &self.compiled_background,
-                    InferenceBackend::Int8 => self.models.quantized_background.plan(),
-                };
-                let mut ml = MlLocalizer::new(
-                    bkg,
-                    &self.models.thresholds,
-                    &self.models.d_eta,
-                    self.ml_config.clone(),
-                )
-                .with_recorder(self.recorder);
-                if let Some(monitor) = self.drift {
-                    ml = ml.with_drift_monitor(monitor);
-                }
-                match Self::localize_reusing_workspace(&ml, &staged, &mut rng) {
-                    Some(r) => (Some(r.direction), r.surviving_rings, r.timings),
-                    None => (None, rings_in, StageTimings::default()),
-                }
-            }
-            PipelineMode::MlQuantized => {
-                let mut ml = MlLocalizer::new(
-                    &self.models.quantized_background,
-                    &self.models.thresholds,
-                    &self.models.d_eta,
-                    self.ml_config.clone(),
-                )
-                .with_recorder(self.recorder);
-                if let Some(monitor) = self.drift {
-                    ml = ml.with_drift_monitor(monitor);
-                }
-                match Self::localize_reusing_workspace(&ml, &staged, &mut rng) {
-                    Some(r) => (Some(r.direction), r.surviving_rings, r.timings),
-                    None => (None, rings_in, StageTimings::default()),
-                }
-            }
-            PipelineMode::MlNoPolar => {
-                let thresholds = adapt_nn::ThresholdTable::uniform(0.5);
+            PipelineMode::Ml | PipelineMode::MlQuantized | PipelineMode::MlNoPolar => {
                 let mut cfg = self.ml_config.clone();
-                cfg.use_polar_input = false;
-                let mut ml = MlLocalizer::new(
-                    &self.compiled_background_no_polar,
-                    &thresholds,
-                    &self.models.d_eta_no_polar,
-                    cfg,
-                )
-                .with_recorder(self.recorder);
+                let flat_thresholds;
+                let (bkg, thresholds, d_eta): (&dyn BackgroundModel, &ThresholdTable, &Mlp) =
+                    match mode {
+                        PipelineMode::MlQuantized => (
+                            &self.models.quantized_background,
+                            &self.models.thresholds,
+                            &self.models.d_eta,
+                        ),
+                        PipelineMode::MlNoPolar => {
+                            flat_thresholds = ThresholdTable::uniform(0.5);
+                            cfg.use_polar_input = false;
+                            (
+                                &self.compiled_background_no_polar,
+                                &flat_thresholds,
+                                &self.models.d_eta_no_polar,
+                            )
+                        }
+                        _ => (
+                            &self.compiled_background,
+                            &self.models.thresholds,
+                            &self.models.d_eta,
+                        ),
+                    };
+                let mut ml =
+                    MlLocalizer::new(bkg, thresholds, d_eta, cfg).with_recorder(self.recorder);
                 if let Some(monitor) = self.drift {
                     ml = ml.with_drift_monitor(monitor);
                 }
@@ -507,21 +475,6 @@ mod tests {
                 out.error_deg
             );
         }
-    }
-
-    #[test]
-    fn int8_backend_matches_quantized_mode() {
-        // PipelineMode::Ml with the INT8 backend and PipelineMode::MlQuantized
-        // both execute the same compiled fixed-point plan — outcomes agree
-        let m = models();
-        let grb = GrbConfig::new(2.0, 0.0);
-        let float_pipe = Pipeline::new(m);
-        let int8_pipe = Pipeline::new(m).with_backend(InferenceBackend::Int8);
-        let (rings, rt) = float_pipe.simulate_rings(&grb, PerturbationConfig::default(), 5);
-        let via_backend = int8_pipe.localize_rings(&rings, PipelineMode::Ml, &grb, 5, rt);
-        let via_mode = float_pipe.localize_rings(&rings, PipelineMode::MlQuantized, &grb, 5, rt);
-        assert_eq!(via_backend.error_deg, via_mode.error_deg);
-        assert_eq!(via_backend.rings_surviving, via_mode.rings_surviving);
     }
 
     #[test]

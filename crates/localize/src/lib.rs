@@ -28,8 +28,8 @@ pub use approx::{approximate, ApproxConfig};
 pub use likelihood::{angular_z, cone_geometry, joint_log_likelihood, ring_log_likelihood};
 pub use localizer::{BaselineLocalizer, LocalizeResult, LocalizerConfig};
 pub use ml::{
-    BackgroundModel, DEtaUpdate, InferenceBackend, InferenceWorkspace, MlLocalizeResult,
-    MlLocalizer, MlPipelineConfig, StageTimings,
+    BackgroundModel, DEtaUpdate, InferenceWorkspace, MlLocalizeResult, MlLocalizer,
+    MlPipelineConfig, StageTimings,
 };
 pub use pixelization::{nside_for_target_pixels, SkyGrid, SkyPixelization};
 pub use refine::{refine, RefineConfig, RefineResult};

@@ -98,38 +98,6 @@ pub struct MlLocalizeResult {
     pub timings: StageTimings,
 }
 
-/// Which arithmetic the background network runs on: the compiled FP32
-/// plan, or the compiled fixed-point INT8 plan (the paper's deployment
-/// configuration, shared bit-exactly with the FPGA cosim).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum InferenceBackend {
-    /// Full-precision f64 inference via `CompiledMlp`.
-    #[default]
-    Float,
-    /// Fixed-point INT8 inference via `CompiledQuantMlp`.
-    Int8,
-}
-
-impl InferenceBackend {
-    /// Parse a CLI flag value (`float` / `fp32` or `int8` / `quantized`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "float" | "fp32" | "f64" => Some(InferenceBackend::Float),
-            "int8" | "quantized" | "quant" => Some(InferenceBackend::Int8),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for InferenceBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            InferenceBackend::Float => "float",
-            InferenceBackend::Int8 => "int8",
-        })
-    }
-}
-
 /// Anything that can score rings as background: the FP32 network, its
 /// compiled inference plan, the INT8-quantized network (paper Fig. 11),
 /// or a test double.
@@ -822,24 +790,6 @@ mod tests {
         let report = monitor.report();
         assert_eq!(report.per_feature_psi.len(), 13);
         assert!(report.per_feature_psi.iter().all(|p| p.is_finite()));
-    }
-
-    #[test]
-    fn backend_flag_parses() {
-        assert_eq!(
-            InferenceBackend::parse("float"),
-            Some(InferenceBackend::Float)
-        );
-        assert_eq!(
-            InferenceBackend::parse("int8"),
-            Some(InferenceBackend::Int8)
-        );
-        assert_eq!(
-            InferenceBackend::parse("quantized"),
-            Some(InferenceBackend::Int8)
-        );
-        assert_eq!(InferenceBackend::parse("int7"), None);
-        assert_eq!(InferenceBackend::default(), InferenceBackend::Float);
     }
 
     #[test]

@@ -30,11 +30,9 @@
 //! * [`simd`] — runtime-dispatched AVX2/NEON kernels behind both compiled
 //!   plans, with the portable scalar kernels as the source of truth.
 
-pub mod adam;
 pub mod compiled;
 pub mod data;
 pub mod fold;
-pub mod importance;
 pub mod layers;
 pub mod loss;
 pub mod metrics;
@@ -50,10 +48,8 @@ pub mod tensor;
 pub mod threshold;
 pub mod train;
 
-pub use adam::{Adam, LrSchedule};
 pub use compiled::{CompiledMlp, InferenceScratch};
 pub use data::{three_way_split, Dataset, Standardizer};
-pub use importance::{format_importances, permutation_importance, FeatureImportance};
 pub use layers::{sigmoid, BatchNorm1d, Linear, Relu};
 pub use loss::{accuracy, bce_with_logits, mse};
 pub use metrics::{auc, calibration_bins, expected_calibration_error, roc_curve, Confusion};

@@ -57,52 +57,6 @@ impl Default for SloConfig {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            panic!("{name} must be a number, got `{raw}`");
-        }),
-        Err(_) => default,
-    }
-}
-
-impl SloConfig {
-    /// Environment-variable names the watchdog honours, in
-    /// [`Self::from_env`] field order. Unset variables keep the default.
-    pub const ENV_VARS: [&'static str; 7] = [
-        "ADAPT_SLO_DEADLINE_MS",
-        "ADAPT_SLO_MAX_DEADLINE_BURN",
-        "ADAPT_SLO_MAX_QUEUE_FILL",
-        "ADAPT_SLO_STALL_FACTOR",
-        "ADAPT_SLO_MAX_ALERTS_PER_SIM_HOUR",
-        "ADAPT_SLO_ALERT_WINDOW_S",
-        "ADAPT_SLO_MAX_DRIFT_FEATURES_FLAGGED",
-    ];
-
-    /// Build objectives from `ADAPT_SLO_*` environment variables, using
-    /// the [`Default`] values for anything unset. Panics (with the
-    /// offending variable named) on an unparsable value — a silently
-    /// ignored SLO override is worse than a crash at startup.
-    pub fn from_env() -> Self {
-        let d = SloConfig::default();
-        SloConfig {
-            deadline_ms: env_f64("ADAPT_SLO_DEADLINE_MS", d.deadline_ms),
-            max_deadline_burn: env_f64("ADAPT_SLO_MAX_DEADLINE_BURN", d.max_deadline_burn),
-            max_queue_fill: env_f64("ADAPT_SLO_MAX_QUEUE_FILL", d.max_queue_fill),
-            stall_factor: env_f64("ADAPT_SLO_STALL_FACTOR", d.stall_factor),
-            max_alerts_per_sim_hour: env_f64(
-                "ADAPT_SLO_MAX_ALERTS_PER_SIM_HOUR",
-                d.max_alerts_per_sim_hour,
-            ),
-            alert_window_s: env_f64("ADAPT_SLO_ALERT_WINDOW_S", d.alert_window_s),
-            max_drift_features_flagged: env_f64(
-                "ADAPT_SLO_MAX_DRIFT_FEATURES_FLAGGED",
-                d.max_drift_features_flagged as f64,
-            ) as u64,
-        }
-    }
-}
-
 /// One watchdog verdict.
 #[derive(Debug, Clone)]
 pub struct HealthLine {
@@ -384,24 +338,6 @@ mod tests {
         let lines = wd.evaluate(1.0, &reg.snapshot());
         assert!(lines.iter().any(|l| l.check == "queue-saturation"));
         assert!(!lines.iter().any(|l| l.check == "pool-stall"), "{lines:?}");
-    }
-
-    #[test]
-    fn from_env_overrides_and_defaults() {
-        // Process-global env: use variables no other test touches, set
-        // and clear within this single test.
-        std::env::set_var("ADAPT_SLO_MAX_QUEUE_FILL", "0.5");
-        std::env::set_var("ADAPT_SLO_MAX_ALERTS_PER_SIM_HOUR", "12.5");
-        let cfg = SloConfig::from_env();
-        std::env::remove_var("ADAPT_SLO_MAX_QUEUE_FILL");
-        std::env::remove_var("ADAPT_SLO_MAX_ALERTS_PER_SIM_HOUR");
-        assert!((cfg.max_queue_fill - 0.5).abs() < 1e-12);
-        assert!((cfg.max_alerts_per_sim_hour - 12.5).abs() < 1e-12);
-        let d = SloConfig::default();
-        assert_eq!(cfg.deadline_ms, d.deadline_ms);
-        assert_eq!(cfg.stall_factor, d.stall_factor);
-        assert_eq!(cfg.alert_window_s, d.alert_window_s);
-        assert_eq!(cfg.max_drift_features_flagged, d.max_drift_features_flagged);
     }
 
     #[test]
