@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the pipeline's hot kernels: per-ring
-//! network inference (FP32 and INT8), photon transport, event
+//! network inference (FP32 and INT8, and the compiled f64 plan the
+//! localizer runs, labelled with its dispatched ISA), photon transport, event
 //! reconstruction, one storm lane's event stream, the localization
 //! stages, and the rayon-vs-sequential burst simulation ablation called
 //! out in DESIGN.md.
@@ -8,7 +9,7 @@ use adapt_localize::{approximate, refine, ApproxConfig, RefineConfig};
 use adapt_math::sampling::isotropic_direction;
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
-use adapt_nn::{models, Matrix, QuantizedMlp};
+use adapt_nn::{models, CompiledMlp, InferenceScratch, Matrix, QuantizedMlp};
 use adapt_recon::{ComptonRing, Reconstructor, RingFeatures};
 use adapt_sim::{
     BurstSimulation, Event, FlightProfile, GrbConfig, ParticleOrigin, StreamConfig, StreamingSource,
@@ -44,6 +45,13 @@ fn bench_inference(c: &mut Criterion) {
     let batch = Matrix::he_uniform(597, 13, &mut rng);
     c.bench_function("background_net_fp32_597_rings", |b| {
         b.iter(|| black_box(fp32.predict(&batch)))
+    });
+    // the compiled plan the localizer runs, on the dispatched ISA's arm
+    let plan = CompiledMlp::compile(&fp32);
+    let label = format!("background_plan_597_rings_{}", adapt_nn::active_isa());
+    c.bench_function(&label, |b| {
+        let mut scratch = InferenceScratch::new();
+        b.iter(|| black_box(plan.forward_batch(&batch, &mut scratch)[0]))
     });
     c.bench_function("background_net_int8_597_rings", |b| {
         b.iter(|| black_box(int8.forward(&batch)))

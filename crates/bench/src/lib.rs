@@ -12,7 +12,10 @@
 //! | `ADAPT_TIMING_REPS` | 50      | 300         |
 //! | `ADAPT_TRAIN_SCALE` | default | (270 M photons) |
 //!
-//! Trained models are cached at `target/adapt-models.json` (override with
+//! Trained models are cached per training scale, at
+//! `target/adapt-models-fast.json` under `ADAPT_TRAIN_SCALE=fast` and
+//! `target/adapt-models-default.json` otherwise, so a run at one scale
+//! never loads the other's weights (override the path with
 //! `ADAPT_MODEL_CACHE`); delete the file to retrain.
 
 use adapt_core::containment_experiment;
@@ -41,19 +44,39 @@ pub const FLUENCES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 /// Noise grid of Fig. 10 (ε, percent).
 pub const EPSILONS: [f64; 4] = [0.0, 1.0, 5.0, 10.0];
 
-/// Where trained models are cached between runs.
+/// Where trained models are cached between runs: `ADAPT_MODEL_CACHE`,
+/// or else a file keyed by `ADAPT_TRAIN_SCALE` (see `cache_path_for`).
 pub fn model_cache_path() -> PathBuf {
-    std::env::var("ADAPT_MODEL_CACHE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/adapt-models.json"))
+    cache_path_for(
+        std::env::var("ADAPT_MODEL_CACHE").ok().as_deref(),
+        std::env::var("ADAPT_TRAIN_SCALE").ok().as_deref(),
+    )
+}
+
+/// The model cache path for the given `ADAPT_MODEL_CACHE` and
+/// `ADAPT_TRAIN_SCALE` values: the override when set, else
+/// `target/adapt-models-fast.json` for the fast scale and
+/// `target/adapt-models-default.json` for every other, the same split
+/// [`campaign_config`] makes.
+fn cache_path_for(cache: Option<&str>, train_scale: Option<&str>) -> PathBuf {
+    match (cache, is_fast_scale(train_scale)) {
+        (Some(path), _) => PathBuf::from(path),
+        (None, true) => PathBuf::from("target/adapt-models-fast.json"),
+        (None, false) => PathBuf::from("target/adapt-models-default.json"),
+    }
+}
+
+fn is_fast_scale(train_scale: Option<&str>) -> bool {
+    train_scale == Some("fast")
 }
 
 /// The training campaign configuration selected by `ADAPT_TRAIN_SCALE`
 /// (`fast` for CI-sized runs, anything else for the standard scale).
 pub fn campaign_config() -> TrainingCampaignConfig {
-    match std::env::var("ADAPT_TRAIN_SCALE").as_deref() {
-        Ok("fast") => TrainingCampaignConfig::fast(),
-        _ => TrainingCampaignConfig::default(),
+    if is_fast_scale(std::env::var("ADAPT_TRAIN_SCALE").ok().as_deref()) {
+        TrainingCampaignConfig::fast()
+    } else {
+        TrainingCampaignConfig::default()
     }
 }
 
@@ -693,4 +716,30 @@ pub fn run_quant_strategies(models: &TrainedModels) -> String {
         models.quantized_background.model_bytes()
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn model_cache_is_keyed_by_training_scale() {
+        let fast = PathBuf::from("target/adapt-models-fast.json");
+        let default = PathBuf::from("target/adapt-models-default.json");
+        assert_eq!(cache_path_for(None, Some("fast")), fast);
+        assert_eq!(cache_path_for(None, None), default);
+        assert_eq!(cache_path_for(None, Some("default")), default);
+        assert_eq!(cache_path_for(None, Some("FAST")), default);
+        assert_ne!(
+            cache_path_for(None, Some("fast")),
+            cache_path_for(None, None)
+        );
+        // the override wins at either scale
+        for scale in [None, Some("fast")] {
+            assert_eq!(
+                cache_path_for(Some("/tmp/m.json"), scale),
+                PathBuf::from("/tmp/m.json")
+            );
+        }
+    }
 }

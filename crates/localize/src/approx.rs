@@ -17,7 +17,7 @@
 use crate::skymap::ring_cone_geom;
 use adapt_math::rotation::deflect;
 use adapt_math::vec3::UnitVec3;
-use adapt_nn::simd::argmax_cone_logl;
+use adapt_nn::simd::{active_isa, argmax_cone_logl, KernelIsa};
 use adapt_recon::ComptonRing;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -65,6 +65,17 @@ pub fn approximate<R: Rng + ?Sized>(
     config: &ApproxConfig,
     rng: &mut R,
 ) -> Option<(UnitVec3, f64)> {
+    approximate_on(rings, config, rng, active_isa())
+}
+
+/// [`approximate`] with the argmax screen on `isa`'s arm (every arm gives
+/// the same bits).
+fn approximate_on<R: Rng + ?Sized>(
+    rings: &[ComptonRing],
+    config: &ApproxConfig,
+    rng: &mut R,
+    isa: KernelIsa,
+) -> Option<(UnitVec3, f64)> {
     if rings.is_empty() {
         return None;
     }
@@ -97,7 +108,7 @@ pub fn approximate<R: Rng + ?Sized>(
         .map(|r| ring_cone_geom(r, r.d_eta.max(config.d_eta_floor), config.floor_z))
         .collect();
     let floor_const = -0.5 * config.floor_z * config.floor_z;
-    argmax_cone_logl(&geoms, &candidates, floor_const).map(|(i, ll)| (candidates[i], ll))
+    argmax_cone_logl(&geoms, &candidates, floor_const, isa).map(|(i, ll)| (candidates[i], ll))
 }
 
 #[cfg(test)]
@@ -264,20 +275,17 @@ mod tests {
     }
 
     /// The screened argmax picks the scalar loop's direction bit for
-    /// bit, on both dispatch paths, with and without the hemisphere cut
-    /// (without it the default draws 1536 candidates, 192 full 8-wide
-    /// screen blocks; the cut leaves arbitrary counts, so the portable
-    /// tail after the blocks runs too). `ll` is
+    /// bit, on every screen arm the host runs (portable, AVX2, AVX-512),
+    /// with and without the hemisphere cut (without it the default draws
+    /// 1536 candidates, 192 full 8-wide or 96 full 16-wide screen blocks;
+    /// the cut leaves arbitrary counts, so each arm's tail after the
+    /// blocks runs too). `ll` is
     /// compared by value: the scalar `Sum` of an all-`-0.0` column is
     /// `-0.0` while the kernel's accumulator starts at `+0.0`; the two
     /// are equal and order the same under the strict `>` argmax.
     #[test]
     fn vectorized_scoring_matches_scalar_loop() {
-        let env_forced = std::env::var("ADAPT_FORCE_PORTABLE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        for force_portable in [true, false] {
-            adapt_nn::simd::set_force_portable(force_portable);
+        for isa in adapt_nn::simd::supported_isas() {
             for (case, &n) in [1usize, 2, 3, 7, 24, 25, 100, 333, 600, 1200]
                 .iter()
                 .enumerate()
@@ -291,11 +299,9 @@ mod tests {
                     };
                     let mut rng_new = ChaCha8Rng::seed_from_u64(7 + seed);
                     let mut rng_ref = rng_new.clone();
-                    let got = approximate(&rings, &cfg, &mut rng_new);
+                    let got = approximate_on(&rings, &cfg, &mut rng_new, isa);
                     let want = approximate_scalar_reference(&rings, &cfg, &mut rng_ref);
-                    let ctx = format!(
-                        "n={n} seed={seed} upper={upper_hemisphere_only} portable={force_portable}"
-                    );
+                    let ctx = format!("n={n} seed={seed} upper={upper_hemisphere_only} isa={isa}");
                     match (got, want) {
                         (Some((s, ll)), Some((s_ref, ll_ref))) => {
                             let (v, v_ref) = (s.as_vec(), s_ref.as_vec());
@@ -312,7 +318,6 @@ mod tests {
                 }
             }
         }
-        adapt_nn::simd::set_force_portable(env_forced);
     }
 
     #[test]

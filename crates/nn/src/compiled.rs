@@ -13,9 +13,12 @@
 //!   execution order (cache-friendly, no per-layer pointer chasing);
 //! * forward passes run through a caller-owned [`InferenceScratch`]
 //!   ping-pong arena — **zero allocations after warm-up**;
-//! * the inner product is a 4×4 register-tiled kernel that reuses each
-//!   loaded weight across four batch rows, with bias add and ReLU fused
-//!   into the accumulator spill.
+//! * the inner product is a register-tiled kernel that reuses each
+//!   loaded weight across several batch rows, with bias add and ReLU
+//!   fused into the accumulator spill: 4×4 tiles on the portable and
+//!   AVX2 paths, 12-row × 16-output tiles on AVX-512;
+//! * the SIMD weights are packed once, at compile time, for the ISA the
+//!   plan runs on (8-lane blocks on AVX-512 hosts, 4-lane otherwise).
 //!
 //! Parity with [`Mlp::predict`] (inference-mode BatchNorm statistics) is
 //! exact up to floating-point re-association and is locked down by unit
@@ -38,9 +41,9 @@ struct PlanStage {
     w_off: usize,
     /// Offset of the `[out_dim]` bias block.
     b_off: usize,
-    /// Offset of the 4-lane column-blocked packed weights (SIMD kernels).
+    /// Offset of the column-blocked packed weights (SIMD kernels).
     p_off: usize,
-    /// Length of the packed block (`in_dim·4·(out_dim/4)`).
+    /// Length of the packed block (see [`simd::pack_f64_blocks`]).
     p_len: usize,
     relu: bool,
 }
@@ -53,8 +56,13 @@ pub struct CompiledMlp {
     /// All stage weights and biases, in execution order.
     buf: Vec<f64>,
     /// Column-blocked packed weights for the SIMD kernels, all stages
-    /// concatenated (see [`simd::pack_f64_quads`]).
+    /// concatenated (see [`simd::pack_f64_blocks`]), in the block width
+    /// of `isa`'s arm.
     packed: Vec<f64>,
+    /// The vector ISA the packed weights serve: the host's detected rung.
+    /// The plan runs on it, or on the portable kernel when dispatch is
+    /// forced portable.
+    isa: KernelIsa,
     stages: Vec<PlanStage>,
     input_dim: usize,
     output_dim: usize,
@@ -106,6 +114,8 @@ impl CompiledMlp {
     /// update the plan — recompile instead.
     pub fn compile(mlp: &Mlp) -> Self {
         let fused = fuse_stages(mlp);
+        let isa = simd::detected_isa();
+        let lanes = simd::f64_block_lanes(isa);
         let mut buf = Vec::new();
         let mut packed = Vec::new();
         let mut stages = Vec::with_capacity(fused.len());
@@ -116,10 +126,11 @@ impl CompiledMlp {
             let b_off = buf.len();
             buf.extend_from_slice(&lin.bias);
             let p_off = packed.len();
-            packed.extend_from_slice(&simd::pack_f64_quads(
+            packed.extend_from_slice(&simd::pack_f64_blocks(
                 lin.weight.as_slice(),
                 lin.in_dim(),
                 lin.out_dim(),
+                lanes,
             ));
             stages.push(PlanStage {
                 in_dim: lin.in_dim(),
@@ -135,6 +146,7 @@ impl CompiledMlp {
         CompiledMlp {
             buf,
             packed,
+            isa,
             stages,
             input_dim: mlp.input_dim(),
             output_dim: fused.last().map(|(l, _)| l.out_dim()).unwrap_or(0),
@@ -257,7 +269,11 @@ impl CompiledMlp {
     /// every stage, ping-ponging between `a` and `b` and writing the final
     /// stage into `out`.
     fn run_rows(&self, x: &[f64], batch: usize, a: &mut [f64], b: &mut [f64], out: &mut [f64]) {
-        let isa = simd::active_isa();
+        let isa = if simd::active_isa() == KernelIsa::Portable {
+            KernelIsa::Portable
+        } else {
+            self.isa
+        };
         let last = self.stages.len() - 1;
         let mut src_is_a = false; // stage 0 reads from `x`
         for (s, stage) in self.stages.iter().enumerate() {
@@ -291,8 +307,9 @@ impl CompiledMlp {
 /// Dispatch one float stage to the active ISA kernel. The vector paths
 /// contract multiply-adds to FMA — allowed by the plan's rounding
 /// contract (parity with `Mlp::predict` is tolerance-, not bit-, based);
-/// portable dispatch lands on [`gemm_bias_act`], the specification
-/// kernel.
+/// the AVX-512 arm is bit-identical to the AVX2 arm. Portable dispatch
+/// lands on [`gemm_bias_act`], the specification kernel. `packed` must
+/// be in `isa`'s block width ([`simd::f64_block_lanes`]).
 #[allow(clippy::too_many_arguments, unused_variables)]
 fn run_plan_stage(
     x: &[f64],
@@ -305,9 +322,28 @@ fn run_plan_stage(
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == KernelIsa::Avx2 && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2+FMA verified at runtime; slices sliced to the
-        // stage's exact shapes by the caller.
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: AVX-512F verified at runtime; slices sliced to the
+        // stage's exact shapes by the caller, `packed` in 8-lane blocks.
+        unsafe {
+            simd::gemm_f64_avx512(
+                x,
+                rows,
+                stage.in_dim,
+                stage.out_dim,
+                w,
+                bias,
+                packed,
+                stage.relu,
+                out,
+            )
+        };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if isa.has_avx2() && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: AVX2+FMA verified at runtime; shapes as above, `packed`
+        // in 4-lane blocks.
         unsafe {
             simd::gemm_f64_avx2(
                 x,

@@ -496,8 +496,8 @@ fn run_stage_rows(
     out: &mut [i8],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == KernelIsa::Avx2 && stage.simd_ok {
-        // SAFETY: dispatch reached Avx2 only via runtime detection, and
+    if isa.has_avx2() && stage.simd_ok {
+        // SAFETY: dispatch reached an AVX2 rung only via runtime detection, and
         // the kernel struct was sliced to the stage's exact shapes above.
         unsafe { simd::gemm_i8_avx2(x, rows, kern, out) };
         return;

@@ -6,11 +6,20 @@
 //! is associative, and the vector requantization replays `rne_shr`
 //! exactly) or results within the documented rounding contract (the f64
 //! plan may contract multiply-adds into FMAs, which the parity tests
-//! already tolerate). Dispatch is decided once per process:
+//! already tolerate). Dispatch is decided once per process, on a ladder:
 //!
+//! * x86-64 with AVX-512F (and AVX2+FMA) → [`KernelIsa::Avx512`];
 //! * x86-64 with AVX2 → [`KernelIsa::Avx2`] (`is_x86_feature_detected!`);
 //! * aarch64 → [`KernelIsa::Neon`] (baseline NEON is mandatory there);
 //! * anything else, or `ADAPT_FORCE_PORTABLE=1`, → [`KernelIsa::Portable`].
+//!
+//! Two kernels have an AVX-512 arm: the f64 plan GEMM
+//! ([`gemm_f64_avx512`]) and the approximation screen
+//! (`screen_plane_avx512`). Each is bit-identical to the AVX2 arm beside
+//! it, so an AVX-512 host computes the same numbers as an AVX2 host.
+//! Every other kernel (the INT8 GEMM, the sky-map sweep) takes its AVX2
+//! arm on both rungs: dispatch sites test [`KernelIsa::has_avx2`], never
+//! `== Avx2`.
 //!
 //! The force-portable override exists for two consumers: the CI fallback
 //! job (which builds with `RUSTFLAGS=-Ctarget-cpu=x86-64` and must also
@@ -40,6 +49,9 @@
 /// Which kernel implementation the dispatcher selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelIsa {
+    /// x86-64 AVX-512F: 8-lane arms for the f64 GEMM and the screen, the
+    /// AVX2 arms for every other kernel.
+    Avx512,
     /// x86-64 AVX2 (+FMA for the f64 plan) vector kernels.
     Avx2,
     /// aarch64 NEON vector kernels.
@@ -52,9 +64,29 @@ impl KernelIsa {
     /// Stable lowercase name used in bench reports and logs.
     pub fn name(self) -> &'static str {
         match self {
+            KernelIsa::Avx512 => "avx512",
             KernelIsa::Avx2 => "avx2",
             KernelIsa::Neon => "neon",
             KernelIsa::Portable => "portable",
+        }
+    }
+
+    /// Whether a kernel's AVX2 arm may run under this ISA: the AVX2 rung
+    /// and the AVX-512 rung above it. The one predicate every AVX2
+    /// dispatch site tests, so a kernel without an AVX-512 arm keeps its
+    /// AVX2 arm on an AVX-512 host.
+    pub fn has_avx2(self) -> bool {
+        matches!(self, KernelIsa::Avx512 | KernelIsa::Avx2)
+    }
+
+    /// Whether this host can run the ISA's kernels: the portable rung
+    /// always, a vector rung at or below the detected one.
+    pub fn is_supported(self) -> bool {
+        let host = detected_isa();
+        match self {
+            KernelIsa::Portable => true,
+            KernelIsa::Avx2 => host.has_avx2(),
+            KernelIsa::Avx512 | KernelIsa::Neon => self == host,
         }
     }
 }
@@ -121,7 +153,14 @@ pub fn active_isa() -> KernelIsa {
 pub fn detected_isa() -> KernelIsa {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        if avx2
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("avx512f")
+        {
+            return KernelIsa::Avx512;
+        }
+        if avx2 {
             return KernelIsa::Avx2;
         }
     }
@@ -133,8 +172,23 @@ pub fn detected_isa() -> KernelIsa {
     KernelIsa::Portable
 }
 
-/// Human-readable feature summary for bench provenance (`avx2,fma` on a
-/// capable x86-64 host, `neon` on aarch64, empty otherwise).
+/// Every ISA this host can run, from the portable rung up: the set the
+/// kernel parity tests loop over.
+pub fn supported_isas() -> Vec<KernelIsa> {
+    [
+        KernelIsa::Portable,
+        KernelIsa::Neon,
+        KernelIsa::Avx2,
+        KernelIsa::Avx512,
+    ]
+    .into_iter()
+    .filter(|isa| isa.is_supported())
+    .collect()
+}
+
+/// Human-readable feature summary for bench provenance (`avx2,fma` on an
+/// AVX2 x86-64 host, `avx2,fma,avx512f` on an AVX-512 one, `neon` on
+/// aarch64, empty otherwise).
 pub fn detected_features() -> Vec<&'static str> {
     #[allow(unused_mut)]
     let mut feats: Vec<&'static str> = Vec::new();
@@ -187,18 +241,30 @@ pub(crate) fn pack_i8_pairs(w: &[i8], in_dim: usize, out_dim: usize) -> Vec<i8> 
     packed
 }
 
-/// Pack a `[out_dim × in_dim]` row-major f64 weight block into 4-lane
-/// column blocks: for each block of 4 output units, the weights of input
-/// `k` sit contiguously as `[w[o][k], w[o+1][k], w[o+2][k], w[o+3][k]]`.
-/// Tail outputs (`out_dim % 4`) are not packed.
-pub(crate) fn pack_f64_quads(w: &[f64], in_dim: usize, out_dim: usize) -> Vec<f64> {
-    let n_blocks = out_dim / 4;
-    let mut packed = vec![0f64; n_blocks * in_dim * 4];
-    for ob in 0..n_blocks {
+/// Lanes per packed f64 weight block for the plan GEMM arm `isa` runs:
+/// 8 (one zmm) on AVX-512, 4 (one ymm, or two NEON registers) otherwise.
+pub(crate) fn f64_block_lanes(isa: KernelIsa) -> usize {
+    if isa == KernelIsa::Avx512 {
+        8
+    } else {
+        4
+    }
+}
+
+/// Pack a `[out_dim × in_dim]` row-major f64 weight block into `lanes`-wide
+/// column blocks: for each block of output units, the weights of input
+/// `k` sit contiguously as `[w[o][k], w[o+1][k], …]`. Only the
+/// `out_dim / 4 · 4` outputs every vector arm runs as an FMA chain are
+/// packed; with 8 lanes a last half block is zero-padded. The
+/// `out_dim % 4` tail outputs are not packed.
+pub(crate) fn pack_f64_blocks(w: &[f64], in_dim: usize, out_dim: usize, lanes: usize) -> Vec<f64> {
+    let n_vec = out_dim / 4 * 4;
+    let n_blocks = n_vec.div_ceil(lanes);
+    let mut packed = vec![0f64; n_blocks * in_dim * lanes];
+    for o in 0..n_vec {
+        let (ob, lane) = (o / lanes, o % lanes);
         for k in 0..in_dim {
-            for lane in 0..4 {
-                packed[(ob * in_dim + k) * 4 + lane] = w[(ob * 4 + lane) * in_dim + k];
-            }
+            packed[(ob * in_dim + k) * lanes + lane] = w[o * in_dim + k];
         }
     }
     packed
@@ -523,14 +589,14 @@ pub(crate) unsafe fn gemm_i8_neon(x: &[i8], rows: usize, k: &QuantStageKernel, o
 // ---------------------------------------------------------------------
 
 /// AVX2+FMA f64 stage kernel over 4-output column blocks packed by
-/// [`pack_f64_quads`]: each loaded weight quad serves four batch rows,
+/// [`pack_f64_blocks`]: each loaded weight quad serves four batch rows,
 /// each broadcast activation serves four output units, and the
 /// multiply-add contracts to FMA (allowed by the float plan's rounding
 /// contract — parity tests use tolerances, not bit equality).
 ///
 /// # Safety
 /// AVX2+FMA required; `x.len() == rows·in_dim`, `out.len() ==
-/// rows·out_dim`, `packed` sized by [`pack_f64_quads`], `bias` has
+/// rows·out_dim`, `packed` sized by [`pack_f64_blocks`] at 4 lanes, `bias` has
 /// `out_dim` entries. Block stores touch `o ≤ out_dim − 4` only; tails
 /// run on safe slice code.
 #[cfg(target_arch = "x86_64")]
@@ -640,6 +706,200 @@ pub(crate) unsafe fn gemm_f64_avx2(
             out[r * out_dim + oo] = if relu { y.max(0.0) } else { y };
         }
         r += 1;
+    }
+}
+
+/// Rows per full AVX-512 f64 tile. Twelve rows × two 8-output blocks
+/// hold 24 zmm accumulators, and one pass over a block pair's packed
+/// weights serves all twelve rows (layer 2's 256 KB of packed weights
+/// are re-read from L2 once per tile).
+#[cfg(target_arch = "x86_64")]
+const F64_ROW_TILE: usize = 12;
+
+/// Widest `in_dim` whose transposed row tile is staged on the stack
+/// (12 × 256 f64, 24 KB); wider stages stage on the heap.
+#[cfg(target_arch = "x86_64")]
+const MAX_STACK_IN: usize = 256;
+
+/// AVX-512 f64 stage kernel over 8-output column blocks packed by
+/// [`pack_f64_blocks`] at 8 lanes, bit-identical to [`gemm_f64_avx2`].
+/// Every output keeps the AVX2 arm's arithmetic: the `out_dim / 4 · 4`
+/// vector outputs start from the bias and take one FMA per input in `k`
+/// order, and the `out_dim % 4` tail outputs are the same scalar dot
+/// plus bias. Rows run in 12-row tiles, then 4-row tiles, then single
+/// rows; each tile's rows are first transposed into a `k`-major staging
+/// buffer so every activation broadcast comes from one pointer.
+///
+/// # Safety
+/// AVX-512F required (dispatched via [`active_isa`]); `x.len() ==
+/// rows·in_dim`, `out.len() == rows·out_dim`, `packed` sized by
+/// [`pack_f64_blocks`] at 8 lanes, `bias` has `out_dim` entries. A half
+/// block's bias load and output store are masked to its valid lanes;
+/// tails run on safe slice code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn gemm_f64_avx512(
+    x: &[f64],
+    rows: usize,
+    in_dim: usize,
+    out_dim: usize,
+    w: &[f64],
+    bias: &[f64],
+    packed: &[f64],
+    relu: bool,
+    out: &mut [f64],
+) {
+    use std::mem::MaybeUninit;
+    debug_assert_eq!(x.len(), rows * in_dim);
+    debug_assert_eq!(out.len(), rows * out_dim);
+    let n_vec = out_dim / 4 * 4;
+    debug_assert_eq!(packed.len(), n_vec.div_ceil(8) * in_dim * 8);
+    let tile = F64Tile {
+        in_dim,
+        out_dim,
+        n_vec,
+        bias: bias.as_ptr(),
+        packed: packed.as_ptr(),
+        relu,
+    };
+    // written in full by `stage_rows` before every read
+    let mut stack = [MaybeUninit::<f64>::uninit(); F64_ROW_TILE * MAX_STACK_IN];
+    let mut heap: Vec<f64>;
+    let staged: *mut f64 = if in_dim <= MAX_STACK_IN {
+        stack.as_mut_ptr() as *mut f64
+    } else {
+        heap = vec![0.0; F64_ROW_TILE * in_dim];
+        heap.as_mut_ptr()
+    };
+    // a tail-only stage (the output layer) has no vector outputs to stage for
+    let mut r = if n_vec == 0 { rows } else { 0 };
+    while r + F64_ROW_TILE <= rows {
+        stage_rows::<F64_ROW_TILE>(x, r, in_dim, staged);
+        tile.rows::<F64_ROW_TILE>(staged, out.as_mut_ptr().add(r * out_dim));
+        r += F64_ROW_TILE;
+    }
+    while r + 4 <= rows {
+        stage_rows::<4>(x, r, in_dim, staged);
+        tile.rows::<4>(staged, out.as_mut_ptr().add(r * out_dim));
+        r += 4;
+    }
+    while r < rows {
+        // a single row is already k-major
+        tile.rows::<1>(
+            x.as_ptr().add(r * in_dim),
+            out.as_mut_ptr().add(r * out_dim),
+        );
+        r += 1;
+    }
+    for r in 0..rows {
+        let x_row = &x[r * in_dim..(r + 1) * in_dim];
+        for oo in n_vec..out_dim {
+            let y = dot_f64_scalar(x_row, &w[oo * in_dim..(oo + 1) * in_dim]) + bias[oo];
+            out[r * out_dim + oo] = if relu { y.max(0.0) } else { y };
+        }
+    }
+}
+
+/// Transpose rows `r..r+R` of `x` into `dst` as `dst[k·R + q] =
+/// x[r+q][k]`, the order [`F64Tile::rows`] broadcasts them in.
+///
+/// # Safety
+/// `dst` must have `R·in_dim` writable f64 and `x` at least `(r+R)·in_dim`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn stage_rows<const R: usize>(x: &[f64], r: usize, in_dim: usize, dst: *mut f64) {
+    for q in 0..R {
+        let row = &x[(r + q) * in_dim..(r + q + 1) * in_dim];
+        for (k, &v) in row.iter().enumerate() {
+            *dst.add(k * R + q) = v;
+        }
+    }
+}
+
+/// One f64 stage's shape and parameters, as the AVX-512 tile loop sees
+/// them.
+#[cfg(target_arch = "x86_64")]
+struct F64Tile {
+    in_dim: usize,
+    out_dim: usize,
+    /// Outputs run as FMA chains (`out_dim / 4 · 4`).
+    n_vec: usize,
+    bias: *const f64,
+    packed: *const f64,
+    relu: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl F64Tile {
+    /// Lane mask of 8-output block `ob`: all 8 lanes, or the 4 of a last
+    /// half block.
+    #[inline(always)]
+    fn mask(&self, ob: usize) -> u8 {
+        let valid = (self.n_vec - ob * 8).min(8);
+        (0xffu16 >> (8 - valid)) as u8
+    }
+
+    /// The vector outputs of `R` rows: block pairs (16 accumulator chains
+    /// per row pair, each broadcast shared by both weight vectors), then
+    /// a last odd block.
+    ///
+    /// # Safety
+    /// AVX-512F required; `xt` holds the `R` rows `k`-major
+    /// (`xt[k·R + q]`), `out` points at the first row's outputs with
+    /// `R` rows of stride `out_dim` behind it.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn rows<const R: usize>(&self, xt: *const f64, out: *mut f64) {
+        use std::arch::x86_64::*;
+        let in_dim = self.in_dim;
+        let n_blocks = self.n_vec.div_ceil(8);
+        let zero = _mm512_setzero_pd();
+        let mut ob = 0;
+        while ob + 2 <= n_blocks {
+            let o = ob * 8;
+            let (m0, m1) = (self.mask(ob), self.mask(ob + 1));
+            let mut acc0 = [_mm512_maskz_loadu_pd(m0, self.bias.add(o)); R];
+            let mut acc1 = [_mm512_maskz_loadu_pd(m1, self.bias.add(o + 8)); R];
+            let pw0 = self.packed.add(ob * in_dim * 8);
+            let pw1 = pw0.add(in_dim * 8);
+            for k in 0..in_dim {
+                let wv0 = _mm512_loadu_pd(pw0.add(k * 8));
+                let wv1 = _mm512_loadu_pd(pw1.add(k * 8));
+                for q in 0..R {
+                    let xb = _mm512_set1_pd(*xt.add(k * R + q));
+                    acc0[q] = _mm512_fmadd_pd(xb, wv0, acc0[q]);
+                    acc1[q] = _mm512_fmadd_pd(xb, wv1, acc1[q]);
+                }
+            }
+            for q in 0..R {
+                let (y0, y1) = if self.relu {
+                    (_mm512_max_pd(acc0[q], zero), _mm512_max_pd(acc1[q], zero))
+                } else {
+                    (acc0[q], acc1[q])
+                };
+                let dst = out.add(q * self.out_dim + o);
+                _mm512_mask_storeu_pd(dst, m0, y0);
+                _mm512_mask_storeu_pd(dst.add(8), m1, y1);
+            }
+            ob += 2;
+        }
+        if ob < n_blocks {
+            let o = ob * 8;
+            let m = self.mask(ob);
+            let mut acc = [_mm512_maskz_loadu_pd(m, self.bias.add(o)); R];
+            let pw = self.packed.add(ob * in_dim * 8);
+            for k in 0..in_dim {
+                let wv = _mm512_loadu_pd(pw.add(k * 8));
+                for (q, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_fmadd_pd(_mm512_set1_pd(*xt.add(k * R + q)), wv, *a);
+                }
+            }
+            for (q, &a) in acc.iter().enumerate() {
+                let y = if self.relu { _mm512_max_pd(a, zero) } else { a };
+                _mm512_mask_storeu_pd(out.add(q * self.out_dim + o), m, y);
+            }
+        }
     }
 }
 
@@ -813,11 +1073,11 @@ pub fn sweep_cone_logls(geoms: &[ConeGeom], centers: &[UnitVec3], floor_const: f
 }
 
 /// One chunk of the sweep, dispatched by ISA. The portable path is the
-/// specification; the AVX2 path is bit-identical to it (dot products in
-/// `Vec3::dot`'s association order with no FMA, scalar `acos` fallback
-/// on the exact vector-computed dot). NEON currently inherits the
-/// portable path — the sweep is memory-light and the scalar skip-gap
-/// test already floors most pixels.
+/// specification; the AVX2 path, which AVX-512 hosts also run, is
+/// bit-identical to it (dot products in `Vec3::dot`'s association order
+/// with no FMA, scalar `acos` fallback on the exact vector-computed dot).
+/// NEON currently inherits the portable path — the sweep is memory-light
+/// and the scalar skip-gap test already floors most pixels.
 #[allow(unused_variables)]
 fn sweep_cone_chunk(
     geoms: &[ConeGeom],
@@ -829,7 +1089,7 @@ fn sweep_cone_chunk(
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == KernelIsa::Avx2 {
+    if isa.has_avx2() {
         // SAFETY: AVX2 verified by runtime dispatch; px/py/pz/out all
         // have the chunk's length by construction in `sweep_cone_logls`.
         unsafe { sweep_cone_chunk_avx2(geoms, px, py, pz, floor_const, out) };
@@ -1010,7 +1270,7 @@ fn screen_point(rings: &ScreenRings, x: f64, y: f64, z: f64, floor_const: f64) -
     acc
 }
 
-/// Screen a plane of candidates, dispatched by ISA. Both arms run the
+/// Screen a plane of candidates, dispatched by ISA. Every arm runs the
 /// same operations in the same order.
 #[allow(unused_variables)]
 fn screen_plane(
@@ -1023,9 +1283,15 @@ fn screen_plane(
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if isa == KernelIsa::Avx2 {
-        // SAFETY: AVX2 verified by runtime dispatch; px/py/pz/out all
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: AVX-512F verified by runtime dispatch; px/py/pz/out all
         // have the plane's length by construction in `screen_cone_logls`.
+        unsafe { screen_plane_avx512(rings, px, py, pz, floor_const, out) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if isa.has_avx2() {
+        // SAFETY: AVX2 verified by runtime dispatch; shapes as above.
         unsafe { screen_plane_avx2(rings, px, py, pz, floor_const, out) };
         return;
     }
@@ -1130,6 +1396,114 @@ unsafe fn screen_term_avx2(
     )
 }
 
+/// AVX-512 screen: candidates in blocks of 16 (two zmm vectors) in the
+/// outer loop and the ring planes in the inner loop, as in
+/// [`screen_plane_avx2`]; a tail of fewer than 16 runs in masked 8-lane
+/// blocks. Every lane runs [`screen_point`]'s operations in its order
+/// (separate multiplies and adds, no FMA), so the scores are bit-equal
+/// to the portable and AVX2 arms.
+///
+/// # Safety
+/// AVX-512F required (runtime-dispatched). `px`, `py`, `pz`, `out` must
+/// share one length; full loads stop at `n/16*16` and the tail's loads
+/// and stores are masked to its valid lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn screen_plane_avx512(
+    rings: &ScreenRings,
+    px: &[f64],
+    py: &[f64],
+    pz: &[f64],
+    floor_const: f64,
+    out: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let n = out.len();
+    debug_assert!(px.len() == n && py.len() == n && pz.len() == n);
+    let nr = rings.ax.len();
+    let zero = _mm512_setzero_pd();
+    let mut i = 0;
+    while i + 16 <= n {
+        let x0 = _mm512_loadu_pd(px.as_ptr().add(i));
+        let y0 = _mm512_loadu_pd(py.as_ptr().add(i));
+        let z0 = _mm512_loadu_pd(pz.as_ptr().add(i));
+        let x1 = _mm512_loadu_pd(px.as_ptr().add(i + 8));
+        let y1 = _mm512_loadu_pd(py.as_ptr().add(i + 8));
+        let z1 = _mm512_loadu_pd(pz.as_ptr().add(i + 8));
+        let mut acc0 = zero;
+        let mut acc1 = zero;
+        // r < nr = rings.ax.len(), as `screen_term_avx512` requires
+        for r in 0..nr {
+            acc0 = _mm512_add_pd(acc0, screen_term_avx512(rings, r, x0, y0, z0, floor_const));
+            acc1 = _mm512_add_pd(acc1, screen_term_avx512(rings, r, x1, y1, z1, floor_const));
+        }
+        _mm512_storeu_pd(out.as_mut_ptr().add(i), acc0);
+        _mm512_storeu_pd(out.as_mut_ptr().add(i + 8), acc1);
+        i += 16;
+    }
+    while i < n {
+        // masked-off lanes score the origin, which is finite and unstored
+        let m = (0xffu16 >> (8 - (n - i).min(8))) as u8;
+        let x = _mm512_maskz_loadu_pd(m, px.as_ptr().add(i));
+        let y = _mm512_maskz_loadu_pd(m, py.as_ptr().add(i));
+        let z = _mm512_maskz_loadu_pd(m, pz.as_ptr().add(i));
+        let mut acc = zero;
+        for r in 0..nr {
+            acc = _mm512_add_pd(acc, screen_term_avx512(rings, r, x, y, z, floor_const));
+        }
+        _mm512_mask_storeu_pd(out.as_mut_ptr().add(i), m, acc);
+        i += 8;
+    }
+}
+
+/// One ring's screen term for eight candidates, in [`screen_point`]'s
+/// operation order ([`screen_term_avx2`] on zmm registers).
+///
+/// # Safety
+/// AVX-512F required; `r < rings.ax.len()` (see [`screen_term_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn screen_term_avx512(
+    rings: &ScreenRings,
+    r: usize,
+    x: std::arch::x86_64::__m512d,
+    y: std::arch::x86_64::__m512d,
+    z: std::arch::x86_64::__m512d,
+    floor_const: f64,
+) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+    let d = _mm512_add_pd(
+        _mm512_add_pd(
+            _mm512_mul_pd(_mm512_set1_pd(*rings.ax.get_unchecked(r)), x),
+            _mm512_mul_pd(_mm512_set1_pd(*rings.ay.get_unchecked(r)), y),
+        ),
+        _mm512_mul_pd(_mm512_set1_pd(*rings.az.get_unchecked(r)), z),
+    );
+    let d = _mm512_min_pd(_mm512_max_pd(d, _mm512_set1_pd(-1.0)), _mm512_set1_pd(1.0));
+    // clears the sign bit, as the AVX2 arm's `andnot(-0.0, d)` does
+    let ad = _mm512_abs_pd(d);
+    let mut p = _mm512_set1_pd(ACOS_P7[7]);
+    for &c in ACOS_P7[..7].iter().rev() {
+        p = _mm512_add_pd(_mm512_mul_pd(p, ad), _mm512_set1_pd(c));
+    }
+    let a = _mm512_mul_pd(_mm512_sqrt_pd(_mm512_sub_pd(_mm512_set1_pd(1.0), ad)), p);
+    let neg = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, _mm512_setzero_pd());
+    let a = _mm512_mask_blend_pd(
+        neg,
+        a,
+        _mm512_sub_pd(_mm512_set1_pd(std::f64::consts::PI), a),
+    );
+    let zz = _mm512_mul_pd(
+        _mm512_sub_pd(a, _mm512_set1_pd(*rings.theta.get_unchecked(r))),
+        _mm512_set1_pd(*rings.inv_sigma.get_unchecked(r)),
+    );
+    _mm512_max_pd(
+        _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(-0.5), zz), zz),
+        _mm512_set1_pd(floor_const),
+    )
+}
+
 /// Screen scores of every center, on one thread: the approximation
 /// stage's plane is about a thousand candidates, well inside one
 /// [`CONE_SWEEP_CHUNK`].
@@ -1184,11 +1558,12 @@ fn screen_margin(geoms: &[ConeGeom], floor_const: f64) -> f64 {
 /// The first strict maximum of the joint robust log-likelihood over
 /// `centers`, with its exact value: the index and the bits of
 /// `sweep_cone_logls(geoms, centers, floor_const)`'s first strict
-/// maximum, or `None` for an empty plane.
+/// maximum, or `None` for an empty plane. `isa` picks the screen's arm
+/// (the localizer passes [`active_isa`]); every arm gives the same bits.
 ///
 /// 1. *Screen.* Every candidate gets a score `S` from a polynomial
-///    `acos` with a proven error bound (AVX2 blocks of 8, or the
-///    portable arm).
+///    `acos` with a proven error bound (AVX-512 blocks of 16, AVX2
+///    blocks of 8, or the portable arm).
 /// 2. *Margin.* `screen_margin` bounds `|S_k − L_k| ≤ E` for every
 ///    candidate `k`, where `L_k` is the exact score the sweep returns.
 /// 3. *Verify.* Candidates with `S ≥ max S − 2E` are re-scored, in
@@ -1206,12 +1581,17 @@ fn screen_margin(geoms: &[ConeGeom], floor_const: f64) -> f64 {
 /// sweep. The 2× headroom of the error constant also absorbs the
 /// rounding of `E` and of the cut itself. When every candidate survives
 /// the cost is that of the exact sweep plus the screen.
+///
+/// # Panics
+/// If this host cannot run `isa` ([`KernelIsa::is_supported`]).
 pub fn argmax_cone_logl(
     geoms: &[ConeGeom],
     centers: &[UnitVec3],
     floor_const: f64,
+    isa: KernelIsa,
 ) -> Option<(usize, f64)> {
-    let scores = screen_cone_logls(&ScreenRings::new(geoms), centers, floor_const, active_isa());
+    assert!(isa.is_supported(), "this host cannot run {isa} kernels");
+    let scores = screen_cone_logls(&ScreenRings::new(geoms), centers, floor_const, isa);
     let max_score = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let cut = max_score - 2.0 * screen_margin(geoms, floor_const);
     let mut best: Option<(usize, f64)> = None;
@@ -1236,9 +1616,23 @@ mod tests {
 
     #[test]
     fn isa_name_roundtrip() {
+        assert_eq!(KernelIsa::Avx512.name(), "avx512");
         assert_eq!(KernelIsa::Avx2.name(), "avx2");
         assert_eq!(KernelIsa::Neon.name(), "neon");
         assert_eq!(KernelIsa::Portable.name(), "portable");
+        assert_eq!(KernelIsa::Avx512.to_string(), "avx512");
+    }
+
+    #[test]
+    fn avx2_arms_serve_both_x86_rungs() {
+        assert!(KernelIsa::Avx512.has_avx2());
+        assert!(KernelIsa::Avx2.has_avx2());
+        assert!(!KernelIsa::Neon.has_avx2());
+        assert!(!KernelIsa::Portable.has_avx2());
+        let isas = supported_isas();
+        assert_eq!(isas[0], KernelIsa::Portable);
+        assert_eq!(isas.last(), Some(&detected_isa()));
+        assert!(isas.iter().all(|isa| isa.is_supported()));
     }
 
     #[test]
@@ -1285,10 +1679,101 @@ mod tests {
     #[test]
     fn pack_f64_quads_transposes_blocks() {
         let w: Vec<f64> = (0..8).map(|v| v as f64).collect(); // 4 outputs × 2 inputs
-        let p = pack_f64_quads(&w, 2, 4);
+        let p = pack_f64_blocks(&w, 2, 4, 4);
         assert_eq!(p, vec![0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]);
+        // 8 lanes: the same 4 outputs, zero-padded to one block
+        let p8 = pack_f64_blocks(&w, 2, 4, 8);
+        let z = 0.0;
+        assert_eq!(
+            p8,
+            vec![0.0, 2.0, 4.0, 6.0, z, z, z, z, 1.0, 3.0, 5.0, 7.0, z, z, z, z]
+        );
         // tail-only shapes pack nothing
-        assert!(pack_f64_quads(&w[..6], 2, 3).is_empty());
+        assert!(pack_f64_blocks(&w[..6], 2, 3, 4).is_empty());
+        assert!(pack_f64_blocks(&w[..6], 2, 3, 8).is_empty());
+        assert_eq!(f64_block_lanes(KernelIsa::Avx512), 8);
+        assert_eq!(f64_block_lanes(KernelIsa::Avx2), 4);
+    }
+
+    /// The AVX-512 f64 GEMM arm against the AVX2 arm, bit for bit, over
+    /// random shapes: rows 1–40 (tails below the 12-row tile and below
+    /// 4), `in_dim` 1–20, `out_dim` 1–40 (tails below 8, below a block
+    /// pair and below 4), ReLU on and off.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn gemm_f64_avx512_matches_avx2_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        if !KernelIsa::Avx512.is_supported() {
+            eprintln!("note: no avx512f on this host; AVX-512 GEMM arm not compared");
+            return;
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xA512);
+        let mut shapes: Vec<(usize, usize, usize)> = (0..400)
+            .map(|_| {
+                (
+                    rng.gen_range(1..=40),
+                    rng.gen_range(1..=20),
+                    rng.gen_range(1..=40),
+                )
+            })
+            .collect();
+        // every remainder path at least once: 12/4/1-row tiles, block
+        // pairs, an odd block, a half block, tail outputs
+        shapes.extend([
+            (12, 3, 16),
+            (13, 5, 8),
+            (16, 1, 4),
+            (3, 7, 20),
+            (25, 13, 36),
+            (40, 20, 1),
+        ]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, in_dim, out_dim) in shapes {
+            let x: Vec<f64> = (0..rows * in_dim)
+                .map(|_| rng.gen_range(-2.0..2.0))
+                .collect();
+            let w: Vec<f64> = (0..out_dim * in_dim)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            let bias: Vec<f64> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let quads = pack_f64_blocks(&w, in_dim, out_dim, 4);
+            let octs = pack_f64_blocks(&w, in_dim, out_dim, 8);
+            for relu in [false, true] {
+                let mut want = vec![f64::NAN; rows * out_dim];
+                let mut got = vec![f64::NAN; rows * out_dim];
+                // SAFETY: AVX-512F (hence AVX2+FMA) checked above; every
+                // slice has the shape the kernels document
+                unsafe {
+                    gemm_f64_avx2(
+                        x.as_slice(),
+                        rows,
+                        in_dim,
+                        out_dim,
+                        &w,
+                        &bias,
+                        &quads,
+                        relu,
+                        &mut want,
+                    );
+                    gemm_f64_avx512(
+                        x.as_slice(),
+                        rows,
+                        in_dim,
+                        out_dim,
+                        &w,
+                        &bias,
+                        &octs,
+                        relu,
+                        &mut got,
+                    );
+                }
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "rows={rows} in_dim={in_dim} out_dim={out_dim} relu={relu}"
+                );
+            }
+        }
     }
 
     /// A ring's cone geometry as the localizer builds it
@@ -1422,7 +1907,7 @@ mod tests {
     #[test]
     fn screen_scores_stay_within_the_margin_and_argmax_is_exact() {
         let _guard = test_isa_lock();
-        let isas = [KernelIsa::Portable, detected_isa()];
+        let isas = supported_isas();
         for (case, &n) in [1usize, 2, 5, 8, 13, 64, 200, 600, 1200].iter().enumerate() {
             for (floor_z, m) in [(3.0, 8 * (case + 2) + case % 8), (2.0, 61)] {
                 let (geoms, centers) = screen_case(n, m, 40 + case as u64, floor_z);
@@ -1433,12 +1918,16 @@ mod tests {
                     .iter()
                     .map(|&isa| screen_cone_logls(&rings, &centers, floor_const, isa))
                     .collect();
-                // the AVX2 screen replays the portable arithmetic
+                // every vector screen replays the portable arithmetic
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&screens[0]), bits(&screens[1]), "n={n} m={m}");
-                for force_portable in [true, false] {
-                    set_force_portable(force_portable);
-                    let ctx = format!("n={n} m={m} floor_z={floor_z} portable={force_portable}");
+                for (isa, screen) in isas.iter().zip(&screens) {
+                    assert_eq!(bits(&screens[0]), bits(screen), "n={n} m={m} isa={isa}");
+                }
+                for &isa in &isas {
+                    // the sweep follows the process dispatch: portable, or
+                    // the host's vector arm
+                    set_force_portable(isa == KernelIsa::Portable);
+                    let ctx = format!("n={n} m={m} floor_z={floor_z} isa={isa}");
                     let exact = sweep_cone_logls(&geoms, &centers, floor_const);
                     for (k, (&s, &l)) in screens[0].iter().zip(&exact).enumerate() {
                         assert!(
@@ -1447,7 +1936,7 @@ mod tests {
                             (s - l).abs()
                         );
                     }
-                    let got = argmax_cone_logl(&geoms, &centers, floor_const);
+                    let got = argmax_cone_logl(&geoms, &centers, floor_const, isa);
                     let want = sweep_argmax(&exact);
                     assert_eq!(
                         got.map(|(i, ll)| (i, ll.to_bits())),
@@ -1468,8 +1957,8 @@ mod tests {
         // through the first ring's cone, and far from it
         let on = adapt_math::rotation::deflect(geoms[0].axis, geoms[0].cone_theta, 0.3);
         let off = geoms[0].axis.flipped();
-        for force_portable in [true, false] {
-            set_force_portable(force_portable);
+        for isa in supported_isas() {
+            set_force_portable(isa == KernelIsa::Portable);
             let exact = sweep_cone_logls(&geoms, &[on, off], floor_const);
             assert_ne!(exact[0], exact[1]);
             let (best, other) = if exact[0] > exact[1] {
@@ -1480,13 +1969,16 @@ mod tests {
             let plane = [
                 other, best, best, other, best, best, best, best, best, best, best,
             ];
-            let got = argmax_cone_logl(&geoms, &plane, floor_const).unwrap();
+            let got = argmax_cone_logl(&geoms, &plane, floor_const, isa).unwrap();
             let want = sweep_argmax(&sweep_cone_logls(&geoms, &plane, floor_const)).unwrap();
             assert_eq!(got.0, 1);
             assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
             // with no rings every candidate scores 0.0: the first wins
-            assert_eq!(argmax_cone_logl(&[], &plane, floor_const), Some((0, 0.0)));
-            assert_eq!(argmax_cone_logl(&geoms, &[], floor_const), None);
+            assert_eq!(
+                argmax_cone_logl(&[], &plane, floor_const, isa),
+                Some((0, 0.0))
+            );
+            assert_eq!(argmax_cone_logl(&geoms, &[], floor_const, isa), None);
         }
         reset_force_portable();
     }
