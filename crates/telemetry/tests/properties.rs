@@ -4,7 +4,10 @@
 //! within one bucket width of the true order statistic.
 
 use adapt_telemetry::histogram::{bucket_hi, bucket_index, bucket_lo, SUB_BITS};
-use adapt_telemetry::{Counter, FlightRecorder, LatencyHistogram, Recorder, Stage, TrialRecord};
+use adapt_telemetry::{
+    AlertRecord, Counter, DegradationRecord, FlightRecorder, LatencyHistogram, Recorder, Stage,
+    TraceSpanRecord, TrialRecord, TriggerDecisionRecord, WindowDecision,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -44,6 +47,110 @@ fn sample_run_stream(epochs: &[u64]) -> String {
         ));
     }
     text
+}
+
+/// Characters the round-trip strings are drawn from: JSON escapes,
+/// multi-byte UTF-8 and a control character included.
+const ALPHABET: &[char] = &[
+    'a', 'Z', '9', '-', ' ', '"', '\\', '/', '\n', '\u{1}', 'é', '∑', '😀',
+];
+
+/// Draws records from raw random numbers: `unit` values in [0, 1),
+/// full-range integers and alphabet indices, consumed in order.
+struct Draw {
+    unit: std::vec::IntoIter<f64>,
+    ints: std::vec::IntoIter<u64>,
+    chars: std::vec::IntoIter<usize>,
+}
+
+impl Draw {
+    /// A finite float in `[lo, hi)`.
+    fn float(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit.next().unwrap()
+    }
+
+    fn int(&mut self) -> u64 {
+        self.ints.next().unwrap()
+    }
+
+    fn coin(&mut self) -> bool {
+        self.int() & 1 == 0
+    }
+
+    /// A non-empty string of up to four alphabet characters.
+    fn text(&mut self) -> String {
+        let n = 1 + (self.int() % 4) as usize;
+        (0..n)
+            .map(|_| ALPHABET[self.chars.next().unwrap()])
+            .collect()
+    }
+
+    fn alert(&mut self) -> AlertRecord {
+        AlertRecord {
+            stream_id: self.int(),
+            t_s: self.float(0.0, 1e5),
+            mode: self.text(),
+            polar_deg: self.float(0.0, 180.0),
+            azimuth_deg: self.float(-180.0, 360.0),
+            containment_radius_deg: self.float(0.0, 180.0),
+            containment_source: if self.coin() { "skymap" } else { "heuristic" }.into(),
+            latency_ms: self.float(0.0, 1e4),
+            rings: self.int(),
+            ingest_depth: self.int(),
+            epoch_depth: self.int(),
+        }
+    }
+
+    fn trace(&mut self) -> TraceSpanRecord {
+        let span = self.text();
+        let parent = match self.int() % 2 {
+            0 => None,
+            _ => Some(format!("{span}~")),
+        };
+        TraceSpanRecord {
+            trace_id: self.text(),
+            span,
+            parent,
+            t_s: self.float(-1e3, 1e5),
+            start_ms: self.float(0.0, 1e3),
+            duration_ms: self.float(0.0, 1e3),
+            queue_depth: self.int(),
+            detail: self.text(),
+        }
+    }
+
+    fn decision(&mut self) -> TriggerDecisionRecord {
+        let fired = self.coin();
+        let windows = (0..self.int() % 3)
+            .map(|_| WindowDecision {
+                width_s: self.float(1e-3, 10.0),
+                counts: self.int(),
+                expected: self.float(0.0, 1e4),
+                sigma: self.float(-50.0, 50.0),
+            })
+            .collect();
+        TriggerDecisionRecord {
+            t_s: self.float(0.0, 1e5),
+            fired,
+            near_truth: self.coin(),
+            reason: if fired { "fired".into() } else { self.text() },
+            background_rate_hz: self.float(0.0, 1e4),
+            calibration_elapsed_s: self.float(0.0, 1e3),
+            threshold_sigma: self.float(0.0, 20.0),
+            frozen: self.coin(),
+            windows,
+        }
+    }
+
+    fn degradation(&mut self) -> DegradationRecord {
+        let from = self.text();
+        DegradationRecord {
+            t_s: self.float(0.0, 1e5),
+            to: format!("{from}>"),
+            from,
+            reason: self.text(),
+        }
+    }
 }
 
 /// The true order statistic the histogram's quantile approximates: the
@@ -224,6 +331,33 @@ proptest! {
         prop_assume!(cut > 0 && cut < text.len());
         prop_assume!(!text[..cut].ends_with('\n') && !text[..cut].ends_with('}'));
         prop_assert!(adapt_telemetry::validate_run(&text[..cut]).is_err());
+    }
+
+    #[test]
+    fn records_round_trip_through_export_and_validate(
+        unit in vec(0.0f64..1.0, 160..161),
+        ints in vec(0u64..u64::MAX, 200..201),
+        chars in vec(0usize..ALPHABET.len(), 240..241),
+    ) {
+        let mut draw = Draw { unit: unit.into_iter(), ints: ints.into_iter(), chars: chars.into_iter() };
+        let alerts: Vec<AlertRecord> = (0..3).map(|_| draw.alert()).collect();
+        let traces: Vec<TraceSpanRecord> = (0..3).map(|_| draw.trace()).collect();
+        let decisions: Vec<TriggerDecisionRecord> = (0..3).map(|_| draw.decision()).collect();
+        let degradations: Vec<DegradationRecord> = (0..2).map(|_| draw.degradation()).collect();
+        let r = FlightRecorder::new();
+        alerts.iter().for_each(|a| r.alert(a));
+        traces.iter().for_each(|t| r.trace_span(t));
+        decisions.iter().for_each(|d| r.trigger_decision(d));
+        degradations.iter().for_each(|d| r.degradation(d));
+        let text = adapt_telemetry::export(&r, 1);
+        let summary = adapt_telemetry::validate_ndjson(&text)
+            .map_err(|e| TestCaseError::Fail(format!("{e}\n{text}")))?;
+        // Debug prints each float's shortest round-trip form, so equal
+        // renderings mean bit-equal records
+        prop_assert_eq!(format!("{:?}", summary.alerts), format!("{alerts:?}"));
+        prop_assert_eq!(format!("{:?}", summary.traces), format!("{traces:?}"));
+        prop_assert_eq!(format!("{:?}", summary.decisions), format!("{decisions:?}"));
+        prop_assert_eq!(format!("{:?}", summary.degradations), format!("{degradations:?}"));
     }
 
     #[test]
