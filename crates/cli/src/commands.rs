@@ -44,7 +44,6 @@ SUBCOMMANDS:
                --bursts <onset:fluence:angle[,...]> (GRB injection schedule)
                --background-scale <rate multiplier=1> --fluence-per-s <=0.625>
                --deadline-ms <alert latency budget=500> --seed <u64=42>
-               --pixelization <raster|healpix=raster> (coarse-skymap rung)
                --telemetry <path> (flight-recorder NDJSON capture)
                --checkpoint <path> --checkpoint-every-s <stream s=0 (off)>
                --resume (restore from --checkpoint before streaming)
@@ -64,7 +63,6 @@ SUBCOMMANDS:
                --duration-s <stream seconds per tenant=60>
                --workers <localization pool workers=4> --shards <ingest shards=2>
                --deadline-ms <per-alert budget=500> --seed <u64=42>
-               --pixelization <raster|healpix=raster> (coarse-skymap rung)
                --subscribers <fan-out population=0 (off)>
                --mailbox-capacity <per-subscriber queue=16>
                --deterministic (pin full-ml so the alert set is seed-pure)
@@ -531,7 +529,6 @@ pub fn fly(args: &Args) -> Result<(), String> {
         "fluence-per-s",
         "deadline-ms",
         "seed",
-        "pixelization",
         "telemetry",
         "checkpoint",
         "checkpoint-every-s",
@@ -580,7 +577,6 @@ pub fn fly(args: &Args) -> Result<(), String> {
     rc.deadline_ms = args.get_parse_or("deadline-ms", rc.deadline_ms)?;
     rc.deterministic = args.switch("deterministic");
     rc.seed = seed;
-    rc.pixelization = parse_pixelization(args, rc.pixelization)?;
     rc.checkpoint_path = args.get("checkpoint").map(std::path::PathBuf::from);
     rc.checkpoint_every_s = args.get_parse_or("checkpoint-every-s", 0.0)?;
     rc.kill_at_s = match args.get("kill-at-s") {
@@ -711,7 +707,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         "shards",
         "deadline-ms",
         "seed",
-        "pixelization",
         "subscribers",
         "mailbox-capacity",
         "deterministic",
@@ -745,7 +740,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     gc.ingest_shards = args.get_parse_or("shards", gc.ingest_shards)?;
     gc.deadline_ms = args.get_parse_or("deadline-ms", gc.deadline_ms)?;
     gc.deterministic = args.switch("deterministic");
-    gc.pixelization = parse_pixelization(args, gc.pixelization)?;
     if gc.workers == 0 || gc.ingest_shards == 0 {
         return Err("--workers and --shards must be >= 1".into());
     }

@@ -154,11 +154,6 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// The background environment this pipeline simulates under.
-    pub fn background_config(&self) -> &BackgroundConfig {
-        &self.background
-    }
-
     /// Attach a telemetry recorder (e.g. an
     /// [`adapt_telemetry::FlightRecorder`]): stage durations, pipeline
     /// counters, and the ML loop's per-iteration records are reported to

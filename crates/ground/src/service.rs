@@ -10,8 +10,8 @@
 //!
 //! Ingest is cheap and sharded: each shard thread owns a set of *lanes*
 //! (a [`StreamingSource`] plus that stream's [`OnlineTrigger`]) and
-//! advances them round-robin in `tick_s` slices of stream time, feeding
-//! every event straight into the stream's trigger — no intermediate
+//! advances them round-robin in `TICK_S` (0.5 s) slices of stream time,
+//! feeding every event straight into the stream's trigger — no intermediate
 //! queue, so ground ingest never drops an event. Localization is
 //! expensive and pooled: a completed epoch is pushed into the
 //! [`WorkStealingPool`] with its absolute alert deadline, and whichever
@@ -45,7 +45,7 @@ use adapt_math::stats::quantile_ceil_rank;
 use adapt_nn::CompiledMlp;
 use adapt_onboard::{
     EpochLocalizer, EpochScheduler, GrbAlert, OnlineTrigger, OnlineTriggerConfig, OpenEpoch,
-    ScheduledEpoch,
+    ScheduledEpoch, COARSE_PIXELS, REDUCED_ITERATIONS,
 };
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
 use adapt_telemetry::{Counter, CounterHandle, FanOut, LiveObserver, Recorder, TraceSpanRecord};
@@ -53,6 +53,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Stream-time slice a lane advances per round-robin turn (s).
+const TICK_S: f64 = 0.5;
 
 /// One tenant stream of the service.
 #[derive(Debug, Clone)]
@@ -75,20 +78,10 @@ pub struct GroundConfig {
     pub workers: usize,
     /// Ingest shard threads (each advances `streams / shards` lanes).
     pub ingest_shards: usize,
-    /// Stream-time slice a lane advances per round-robin turn (s).
-    pub tick_s: f64,
     /// Per-alert deadline: epoch-ready to alert-emitted (ms).
     pub deadline_ms: f64,
     /// Online trigger tuning, applied to every stream.
     pub trigger: OnlineTriggerConfig,
-    /// Loop-iteration cap at the `reduced-ml` level.
-    pub reduced_iterations: usize,
-    /// Sky-map pixel budget at the `coarse-skymap` level.
-    pub coarse_pixels: usize,
-    /// Pixelization of the coarse-skymap rung's posterior.
-    pub pixelization: SkyPixelization,
-    /// Fraction of the remaining budget a level's cost must fit inside.
-    pub safety_factor: f64,
     /// Pin `full-ml` (skip the wall-clock-dependent level choice) so the
     /// alert set is a pure function of the stream seeds.
     pub deterministic: bool,
@@ -99,13 +92,8 @@ impl Default for GroundConfig {
         GroundConfig {
             workers: 4,
             ingest_shards: 2,
-            tick_s: 0.5,
             deadline_ms: 500.0,
             trigger: OnlineTriggerConfig::default(),
-            reduced_iterations: 2,
-            coarse_pixels: 256,
-            pixelization: SkyPixelization::default(),
-            safety_factor: 0.8,
             deterministic: false,
         }
     }
@@ -269,13 +257,12 @@ impl<'a> GroundService<'a> {
             EpochLocalizer::new(
                 models,
                 &compiled_background,
-                config.reduced_iterations,
-                config.coarse_pixels,
-                config.pixelization,
+                REDUCED_ITERATIONS,
+                COARSE_PIXELS,
+                SkyPixelization::default(),
                 recorder,
             ),
             config.deadline_ms,
-            config.safety_factor,
             config.deterministic,
         );
 
@@ -311,7 +298,7 @@ impl<'a> GroundService<'a> {
             let events_ingested = &events_ingested;
             let per_worker = &per_worker;
 
-            // ── ingest shards: advance lanes in tick_s stream-time slices ──
+            // ── ingest shards: advance lanes in TICK_S stream-time slices ──
             let shard_handles: Vec<_> = shards
                 .into_iter()
                 .map(|mut lanes| {
@@ -334,7 +321,7 @@ impl<'a> GroundService<'a> {
                                 if lane.done {
                                     continue;
                                 }
-                                let until = lane.clock_s + config.tick_s;
+                                let until = lane.clock_s + TICK_S;
                                 let mut slice_events = 0u64;
                                 loop {
                                     let ev = match lane.pending.take() {

@@ -21,7 +21,7 @@ use adapt_nn::{
     sigmoid, CompiledMlp, CompiledQuantMlp, FeaturePlanes, InferenceScratch, Matrix, Mlp,
     QuantScratch, QuantizedMlp, ThresholdTable,
 };
-use adapt_recon::{ComptonRing, N_FEATURES_WITH_POLAR, N_STATIC_FEATURES};
+use adapt_recon::{ComptonRing, N_STATIC_FEATURES};
 use adapt_telemetry::{
     Counter, DriftMonitor, LoopIterationRecord, LoopSummaryRecord, Recorder, SCORE_BINS,
 };
@@ -227,7 +227,6 @@ impl BackgroundModel for CompiledQuantMlp {
 /// allocating.
 #[derive(Debug, Default)]
 pub struct InferenceWorkspace {
-    inputs: Matrix,
     nn: InferenceScratch,
     logits: Vec<f64>,
     /// Feature-major staging planes, built once per burst (SoA path).
@@ -311,50 +310,6 @@ impl<'a> MlLocalizer<'a> {
     pub fn with_drift_monitor(mut self, monitor: &'a DriftMonitor) -> Self {
         self.drift = Some(monitor);
         self
-    }
-
-    /// Stage the model input matrix for a set of rings at a given polar
-    /// estimate into a reusable buffer (no allocation once the buffer has
-    /// reached the burst's ring count).
-    fn stage_inputs(&self, rings: &[ComptonRing], polar_deg: f64, x: &mut Matrix) {
-        if self.config.use_polar_input {
-            x.resize(rings.len(), N_FEATURES_WITH_POLAR);
-            for (i, r) in rings.iter().enumerate() {
-                x.row_mut(i)
-                    .copy_from_slice(&r.features.to_model_input(polar_deg));
-            }
-        } else {
-            x.resize(rings.len(), 12);
-            for (i, r) in rings.iter().enumerate() {
-                x.row_mut(i).copy_from_slice(&r.features.to_static_array());
-            }
-        }
-    }
-
-    /// Background probabilities for each ring at the given polar estimate.
-    pub fn background_probabilities(&self, rings: &[ComptonRing], polar_deg: f64) -> Vec<f64> {
-        let mut ws = InferenceWorkspace::new();
-        self.background_logits(rings, polar_deg, &mut ws);
-        ws.logits.iter().map(|&l| sigmoid(l)).collect()
-    }
-
-    /// Score rings with the background net into `ws.logits`.
-    fn background_logits(
-        &self,
-        rings: &[ComptonRing],
-        polar_deg: f64,
-        ws: &mut InferenceWorkspace,
-    ) {
-        if rings.is_empty() {
-            ws.logits.clear();
-            return;
-        }
-        self.stage_inputs(rings, polar_deg, &mut ws.inputs);
-        // split-borrow: logits buffer out, inputs + scratch in
-        let InferenceWorkspace {
-            inputs, nn, logits, ..
-        } = ws;
-        self.background_net.logits_into(inputs, nn, logits);
     }
 
     /// Run the full Fig.-6 loop with a private, throwaway workspace.

@@ -40,7 +40,3 @@ pub use vec3::{UnitVec3, Vec3};
 /// Electron rest mass energy in MeV, the natural energy scale of Compton
 /// kinematics (`m_e c^2`).
 pub const ELECTRON_REST_MEV: f64 = 0.510_998_95;
-
-/// A tolerance suitable for comparing unit-norm quantities accumulated over
-/// a handful of floating-point operations.
-pub const UNIT_EPS: f64 = 1e-9;

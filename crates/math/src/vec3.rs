@@ -94,12 +94,6 @@ impl Vec3 {
         self.try_normalize().expect("cannot normalize zero vector")
     }
 
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn hadamard(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Linear interpolation `self + t * (rhs - self)`.
     #[inline]
     pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {

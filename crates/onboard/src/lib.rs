@@ -43,7 +43,8 @@ pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use queue::{BoundedQueue, DropPolicy, QueueStats};
 pub use runtime::{
     match_alerts_to_truth, ContainmentSource, DegradationLevel, EpochLocalizer, EpochOutcome,
-    FlightRunReport, FlightRuntime, GrbAlert, RuntimeConfig, TruthMatchReport,
+    FlightRunReport, FlightRuntime, GrbAlert, RuntimeConfig, TruthMatchReport, COARSE_PIXELS,
+    REDUCED_ITERATIONS,
 };
 pub use scheduler::{epoch_rng_seed, EpochScheduler, ScheduledEpoch, COST_PRIORS_MS};
 pub use trigger::{OnlineTrigger, OnlineTriggerConfig, OpenEpoch, ReplayVerdict, TriggerReplay};

@@ -77,6 +77,15 @@ impl DegradationLevel {
     }
 }
 
+/// Loop-iteration cap at the `reduced-ml` level.
+pub const REDUCED_ITERATIONS: usize = 2;
+
+/// Sky-map pixel budget at the `coarse-skymap` level.
+pub const COARSE_PIXELS: usize = 256;
+
+/// Epoch queue capacity (lossless `Block`).
+const EPOCH_CAPACITY: usize = 4;
+
 /// Runtime tuning.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -86,18 +95,6 @@ pub struct RuntimeConfig {
     pub trigger: OnlineTriggerConfig,
     /// Ingest queue capacity (lossy `DropNewest`).
     pub ingest_capacity: usize,
-    /// Epoch queue capacity (lossless `Block`).
-    pub epoch_capacity: usize,
-    /// Loop-iteration cap at the `reduced-ml` level.
-    pub reduced_iterations: usize,
-    /// Sky-map pixel budget at the `coarse-skymap` level.
-    pub coarse_pixels: usize,
-    /// Pixelization for the `coarse-skymap` rung's posterior (raster
-    /// hemisphere or equal-area HEALPix).
-    pub pixelization: SkyPixelization,
-    /// Fraction of the remaining deadline budget a level's cost estimate
-    /// must fit inside to be chosen.
-    pub safety_factor: f64,
     /// Checkpoint destination (`None` disables checkpointing).
     pub checkpoint_path: Option<PathBuf>,
     /// Periodic checkpoint cadence in *stream* seconds (0 = only on
@@ -132,11 +129,6 @@ impl Default for RuntimeConfig {
             deadline_ms: 500.0,
             trigger: OnlineTriggerConfig::default(),
             ingest_capacity: 8192,
-            epoch_capacity: 4,
-            reduced_iterations: 2,
-            coarse_pixels: 256,
-            pixelization: SkyPixelization::default(),
-            safety_factor: 0.8,
             checkpoint_path: None,
             checkpoint_every_s: 0.0,
             kill_at_s: None,
@@ -562,7 +554,7 @@ impl<'a> FlightRuntime<'a> {
             reg.gauge("adapt_ingest_queue_capacity", &[("queue", "ingest")])
                 .set(config.ingest_capacity as f64);
             reg.gauge("adapt_epoch_queue_capacity", &[("queue", "epoch")])
-                .set(config.epoch_capacity as f64);
+                .set(EPOCH_CAPACITY as f64);
         }
         // surface the hostile-sky injection set: how many scenario
         // components shape this stream (0 on a quiet sky)
@@ -577,13 +569,12 @@ impl<'a> FlightRuntime<'a> {
             EpochLocalizer::new(
                 models,
                 &compiled_background,
-                config.reduced_iterations,
-                config.coarse_pixels,
-                config.pixelization,
+                REDUCED_ITERATIONS,
+                COARSE_PIXELS,
+                SkyPixelization::default(),
                 recorder,
             ),
             config.deadline_ms,
-            config.safety_factor,
             config.deterministic,
         )
         .with_state(ladder.0, ladder.1);
@@ -591,7 +582,7 @@ impl<'a> FlightRuntime<'a> {
         let ingest_q: BoundedQueue<adapt_sim::StreamedEvent> =
             BoundedQueue::new("ingest", config.ingest_capacity, DropPolicy::DropNewest);
         let epoch_q: BoundedQueue<ScheduledEpoch> =
-            BoundedQueue::new("epoch", config.epoch_capacity, DropPolicy::Block);
+            BoundedQueue::new("epoch", EPOCH_CAPACITY, DropPolicy::Block);
         let killed = AtomicBool::new(false);
         let alerts: Mutex<Vec<GrbAlert>> = Mutex::new(prior_alerts);
         let checkpoint_written = AtomicBool::new(false);

@@ -44,6 +44,10 @@ pub const COST_PRIORS_MS: [f64; 4] = [5.7, 5.4, 1.9, 4.1];
 /// EWMA weight of a new cost observation.
 pub(crate) const COST_ALPHA: f64 = 0.4;
 
+/// Fraction of the remaining deadline budget a rung's cost estimate must
+/// fit inside to be chosen.
+const SAFETY_FACTOR: f64 = 0.8;
+
 /// The per-epoch localizer RNG seed: every consumer of an epoch stream
 /// (the single-stream runtime and the ground-segment pool) derives its
 /// RNG the same way, which is what makes multi-tenant localizations
@@ -162,7 +166,6 @@ pub struct EpochScheduler<'a> {
     localizer: EpochLocalizer<'a>,
     recorder: &'a dyn Recorder,
     deadline_ms: f64,
-    safety_factor: f64,
     deterministic: bool,
     ladder: Mutex<Ladder>,
 }
@@ -170,18 +173,12 @@ pub struct EpochScheduler<'a> {
 impl<'a> EpochScheduler<'a> {
     /// A scheduler at `full-ml` with the cost priors. `deadline_ms` is the
     /// epoch-ready → alert budget; a rung's cost estimate must fit inside
-    /// `safety_factor` of what remains. `deterministic` pins `full-ml`.
-    pub fn new(
-        localizer: EpochLocalizer<'a>,
-        deadline_ms: f64,
-        safety_factor: f64,
-        deterministic: bool,
-    ) -> Self {
+    /// [`SAFETY_FACTOR`] of what remains. `deterministic` pins `full-ml`.
+    pub fn new(localizer: EpochLocalizer<'a>, deadline_ms: f64, deterministic: bool) -> Self {
         EpochScheduler {
             recorder: localizer.recorder,
             localizer,
             deadline_ms,
-            safety_factor,
             deterministic,
             ladder: Mutex::new(Ladder {
                 cost_model_ms: COST_PRIORS_MS,
@@ -264,7 +261,7 @@ impl<'a> EpochScheduler<'a> {
             (DegradationLevel::FullMl, "pinned")
         } else {
             let cost = self.ladder.lock().expect(POISONED).cost_model_ms;
-            let budget_ms = (self.deadline_ms - waited_ms) * self.safety_factor;
+            let budget_ms = (self.deadline_ms - waited_ms) * SAFETY_FACTOR;
             choose_level(&cost, budget_ms, backlog)
         };
         if recorder.is_enabled() {

@@ -13,6 +13,7 @@
 //! a flight capture without a pool never emits a pool verdict.
 
 use crate::live::{MetricKind, RegistrySnapshot};
+use serde::Serialize;
 use std::time::Instant;
 
 /// The live projection of `queue_depth("pool", ..)`: the pending work.
@@ -58,7 +59,7 @@ impl Default for SloConfig {
 }
 
 /// One watchdog verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HealthLine {
     /// Check machine name (`deadline-burn`, `queue-saturation`,
     /// `pool-stall`, `alert-rate`, `drift`, or `crashed`).

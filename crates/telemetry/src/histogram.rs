@@ -10,6 +10,7 @@
 //! recording followed by a reduction exactly equivalent to recording
 //! into one shared histogram.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -243,7 +244,7 @@ impl LatencyHistogram {
 }
 
 /// Plain-data percentile summary of one histogram (milliseconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,

@@ -48,6 +48,7 @@
 //! records take a mutex, but only once per rejection iteration (≤ 5 per
 //! localization), far off the per-ring hot path.
 
+mod codec;
 pub mod drift;
 pub mod forensics;
 pub mod health;

@@ -16,12 +16,14 @@
 //! runs the [`crate::health::SloWatchdog`] over the snapshot, emitting
 //! greppable `health:` lines.
 
+use crate::codec;
 use crate::health::{HealthLine, SloConfig, SloWatchdog};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::recorder::{
     AlertRecord, Counter, DegradationRecord, LoopIterationRecord, LoopSummaryRecord, Recorder,
     Stage, TraceSpanRecord, TriggerDecisionRecord,
 };
+use serde::{Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -459,11 +461,11 @@ impl LiveObserver {
     /// `live_meta` header line is written immediately).
     pub fn with_output(self, path: &std::path::Path) -> std::io::Result<Self> {
         let mut file = std::fs::File::create(path)?;
-        writeln!(
-            file,
-            "{{\"type\":\"live_meta\",\"schema\":{LIVE_SCHEMA},\"every_s\":{}}}",
-            self.every_s
-        )?;
+        let meta = LiveMeta {
+            schema: LIVE_SCHEMA,
+            every_s: self.every_s,
+        };
+        writeln!(file, "{}", codec::line("live_meta", &[&meta]))?;
         *self.out.lock().unwrap() = Some(file);
         Ok(self)
     }
@@ -654,26 +656,11 @@ impl Recorder for FanOut<'_> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+/// The stream's `live_meta` header line.
+#[derive(Serialize)]
+struct LiveMeta {
+    schema: u32,
+    every_s: f64,
 }
 
 /// Serialize one snapshot as a `live_snapshot` NDJSON line.
@@ -683,58 +670,45 @@ fn snapshot_line(
     snap: &RegistrySnapshot,
     health: &[HealthLine],
 ) -> String {
-    let mut metrics = Vec::with_capacity(snap.samples.len());
-    for s in &snap.samples {
-        let labels: Vec<String> = s
-            .labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        let mut fields = vec![
-            format!("\"name\":\"{}\"", json_escape(&s.name)),
-            format!("\"labels\":{{{}}}", labels.join(",")),
-            format!("\"kind\":\"{}\"", s.kind.name()),
-        ];
-        match &s.hist {
-            Some(h) => fields.push(format!(
-                "\"count\":{},\"mean_ms\":{},\"p50_ms\":{},\"p90_ms\":{},\"p99_ms\":{},\"min_ms\":{},\"max_ms\":{}",
-                h.count,
-                num(h.mean_ms),
-                num(h.p50_ms),
-                num(h.p90_ms),
-                num(h.p99_ms),
-                num(h.min_ms),
-                num(h.max_ms)
-            )),
-            None => fields.push(format!("\"value\":{}", num(s.value))),
-        }
-        metrics.push(format!("{{{}}}", fields.join(",")));
-    }
-    let health_json: Vec<String> = health
+    let metrics = snap
+        .samples
         .iter()
-        .map(|h| {
-            format!(
-                "{{\"check\":\"{}\",\"ok\":{},\"detail\":\"{}\"}}",
-                json_escape(&h.check),
-                h.ok,
-                json_escape(&h.detail)
-            )
+        .map(|s| {
+            let labels = s
+                .labels
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+                .collect();
+            let mut fields = vec![
+                ("name".to_string(), Value::Str(s.name.clone())),
+                ("labels".to_string(), Value::Obj(labels)),
+                ("kind".to_string(), Value::Str(s.kind.name().into())),
+            ];
+            // a histogram's percentile fields, else the value
+            match s.hist.to_value() {
+                Value::Obj(hist) => fields.extend(hist),
+                _ => fields.push(("value".to_string(), Value::Float(s.value))),
+            }
+            Value::Obj(fields)
         })
         .collect();
-    format!(
-        "{{\"type\":\"live_snapshot\",\"t_s\":{},\"final\":{is_final},\"metrics\":[{}],\"health\":[{}]}}",
-        num(t_s),
-        metrics.join(","),
-        health_json.join(",")
-    )
+    let body = Value::Obj(vec![
+        ("t_s".to_string(), Value::Float(t_s)),
+        ("final".to_string(), Value::Bool(is_final)),
+        ("metrics".to_string(), Value::Arr(metrics)),
+        ("health".to_string(), health.to_vec().to_value()),
+    ]);
+    codec::line("live_snapshot", &[&body])
 }
 
-fn value_f64(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::Float(x) => Some(*x),
-        serde::Value::Int(n) => Some(*n as f64),
-        serde::Value::UInt(n) => Some(*n as f64),
-        _ => None,
+/// Field `key` of `v`, read the way `adapt top` always has: `Some` only
+/// when present, non-null and of type `T`. Absent, `null` and mistyped
+/// fields read as `None`, never as errors.
+fn loose<T: Deserialize>(v: &Value, key: &str) -> Option<T> {
+    match v.get(key)? {
+        // the vendored `f64` reads null as NaN; here null is absent
+        Value::Null => None,
+        field => T::from_value(field).ok(),
     }
 }
 
@@ -743,22 +717,12 @@ fn value_f64(v: &serde::Value) -> Option<f64> {
 /// drift is loud.
 pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
     let mut snaps = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let v: serde::Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {lineno}: not valid JSON: {e}"))?;
-        let ty = v
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| format!("line {lineno}: missing type"))?;
-        match ty {
+    for line in codec::lines(text) {
+        let line = line?;
+        let (lineno, v) = (line.lineno, &line.value);
+        match line.ty.as_str() {
             "live_meta" => {
-                let schema = v
-                    .get("schema")
-                    .and_then(value_f64)
+                let schema: f64 = loose(v, "schema")
                     .ok_or_else(|| format!("line {lineno}: live_meta missing schema"))?;
                 if schema as u32 > LIVE_SCHEMA {
                     return Err(format!(
@@ -767,86 +731,25 @@ pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
                 }
             }
             "live_snapshot" => {
-                let t_s = v
-                    .get("t_s")
-                    .and_then(value_f64)
+                let t_s = loose(v, "t_s")
                     .ok_or_else(|| format!("line {lineno}: snapshot missing t_s"))?;
-                let is_final = matches!(v.get("final"), Some(serde::Value::Bool(true)));
-                let mut samples = Vec::new();
-                if let Some(metrics) = v.get("metrics").and_then(|m| m.as_arr()) {
-                    for m in metrics {
-                        let name = m
-                            .get("name")
-                            .and_then(|n| n.as_str())
-                            .ok_or_else(|| format!("line {lineno}: metric missing name"))?
-                            .to_string();
-                        let kind = match m.get("kind").and_then(|k| k.as_str()) {
-                            Some("counter") => MetricKind::Counter,
-                            Some("gauge") => MetricKind::Gauge,
-                            Some("histogram") => MetricKind::Histogram,
-                            other => {
-                                return Err(format!(
-                                    "line {lineno}: metric {name} has unknown kind {other:?}"
-                                ))
-                            }
-                        };
-                        let labels: Vec<(String, String)> = m
-                            .get("labels")
-                            .and_then(|l| l.as_obj())
-                            .map(|pairs| {
-                                pairs
-                                    .iter()
-                                    .filter_map(|(k, v)| {
-                                        v.as_str().map(|s| (k.clone(), s.to_string()))
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        let hist = if kind == MetricKind::Histogram {
-                            let f = |key: &str| m.get(key).and_then(value_f64).unwrap_or(0.0);
-                            Some(HistogramSnapshot {
-                                count: f("count") as u64,
-                                mean_ms: f("mean_ms"),
-                                p50_ms: f("p50_ms"),
-                                p90_ms: f("p90_ms"),
-                                p99_ms: f("p99_ms"),
-                                min_ms: f("min_ms"),
-                                max_ms: f("max_ms"),
-                            })
-                        } else {
-                            None
-                        };
-                        let value = m.get("value").and_then(value_f64).unwrap_or(0.0);
-                        samples.push(MetricSample {
-                            name,
-                            labels,
-                            kind,
-                            value,
-                            hist,
-                        });
-                    }
-                }
-                let mut health = Vec::new();
-                if let Some(checks) = v.get("health").and_then(|h| h.as_arr()) {
-                    for c in checks {
-                        health.push(HealthLine {
-                            check: c
-                                .get("check")
-                                .and_then(|x| x.as_str())
-                                .unwrap_or("?")
-                                .to_string(),
-                            ok: matches!(c.get("ok"), Some(serde::Value::Bool(true))),
-                            detail: c
-                                .get("detail")
-                                .and_then(|x| x.as_str())
-                                .unwrap_or("")
-                                .to_string(),
-                        });
-                    }
-                }
+                let metrics: Vec<Value> = loose(v, "metrics").unwrap_or_default();
+                let samples = metrics
+                    .iter()
+                    .map(|m| read_metric(m).map_err(|e| format!("line {lineno}: {e}")))
+                    .collect::<Result<_, _>>()?;
+                let checks: Vec<Value> = loose(v, "health").unwrap_or_default();
+                let health = checks
+                    .iter()
+                    .map(|c| HealthLine {
+                        check: loose(c, "check").unwrap_or_else(|| "?".into()),
+                        ok: loose(c, "ok") == Some(true),
+                        detail: loose(c, "detail").unwrap_or_default(),
+                    })
+                    .collect();
                 snaps.push(LiveSnapshot {
                     t_s,
-                    is_final,
+                    is_final: loose(v, "final") == Some(true),
                     samples,
                     health,
                 });
@@ -855,6 +758,42 @@ pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
         }
     }
     Ok(snaps)
+}
+
+/// One entry of a snapshot's `metrics`: a name and a known kind are
+/// required; a number that is absent or mistyped reads as 0.
+fn read_metric(m: &Value) -> Result<MetricSample, String> {
+    let name: String = loose(m, "name").ok_or("metric missing name")?;
+    let kind = match loose::<String>(m, "kind").as_deref() {
+        Some("counter") => MetricKind::Counter,
+        Some("gauge") => MetricKind::Gauge,
+        Some("histogram") => MetricKind::Histogram,
+        other => return Err(format!("metric {name} has unknown kind {other:?}")),
+    };
+    let labels = loose::<Value>(m, "labels")
+        .as_ref()
+        .and_then(Value::as_obj)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
+        .collect();
+    let num = |key: &str| loose(m, key).unwrap_or(0.0);
+    let hist = (kind == MetricKind::Histogram).then(|| HistogramSnapshot {
+        count: num("count") as u64,
+        mean_ms: num("mean_ms"),
+        p50_ms: num("p50_ms"),
+        p90_ms: num("p90_ms"),
+        p99_ms: num("p99_ms"),
+        min_ms: num("min_ms"),
+        max_ms: num("max_ms"),
+    });
+    Ok(MetricSample {
+        name,
+        labels,
+        kind,
+        value: num("value"),
+        hist,
+    })
 }
 
 /// Render one snapshot as the `adapt top` table: global counters, then

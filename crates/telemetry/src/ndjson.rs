@@ -23,16 +23,22 @@
 //!   online rate trigger: outcome, calibration baseline, refractory
 //!   state, and the per-width counts/expectation/σ evidence.
 //!
-//! [`validate`] checks structure and field types line by line and
-//! returns a [`NdjsonSummary`] the `telemetry-report` renderer (and the
-//! CI schema gate) consume.
+//! Each line is its record's serde derive written through the crate's
+//! one line codec: `type`, any prefix fields (`mode`/`seed` on loop
+//! lines, `stage` on stage lines, `name` on queue and counter lines),
+//! then the record's fields in declaration order. [`validate`] decodes
+//! the same types back, checks each line's semantics and returns a
+//! [`NdjsonSummary`] the `telemetry-report` renderer (and the CI schema
+//! gate) consume.
 
+use crate::codec;
 use crate::histogram::HistogramSnapshot;
 use crate::recorder::{
-    AlertRecord, Counter, DegradationRecord, FlightRecorder, LoopEvent, Stage, TraceSpanRecord,
-    TriggerDecisionRecord, WindowDecision,
+    AlertRecord, Counter, DegradationRecord, FlightRecorder, LoopEvent, LoopIterationRecord,
+    LoopSummaryRecord, QueueGauge, Stage, TraceSpanRecord, TrialRecord, TriggerDecisionRecord,
+    WindowDecision,
 };
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
 /// Current NDJSON schema version (the `meta` line's `schema` field).
 /// Version 6 added per-decision trigger forensics: `trigger_decision`
@@ -61,211 +67,109 @@ use serde::Value;
 /// absent in older captures, it defaults to `0`.
 pub const NDJSON_SCHEMA: u32 = 8;
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// The `meta` line.
+#[derive(Default, Serialize, Deserialize)]
+struct Meta {
+    schema: u64,
+    #[serde(default)]
+    tool: String,
+    repetitions: u64,
 }
 
-fn line(v: &Value) -> String {
-    serde_json::to_string(v).expect("NDJSON serialization is infallible")
+/// Prefix of loop lines: the trial they belong to.
+#[derive(Default, Serialize, Deserialize)]
+struct TrialContext {
+    mode: String,
+    seed: u64,
+}
+
+/// Prefix of stage lines.
+#[derive(Default, Serialize, Deserialize)]
+struct StageName {
+    stage: String,
+}
+
+/// Prefix of queue and counter lines.
+#[derive(Default, Serialize, Deserialize)]
+struct Name {
+    name: String,
+}
+
+/// Body of counter lines.
+#[derive(Default, Serialize, Deserialize)]
+struct CounterValue {
+    value: u64,
 }
 
 /// Render a recorder as NDJSON text (trailing newline included).
 pub fn export(recorder: &FlightRecorder, repetitions: usize) -> String {
     let mut out = String::new();
-    out.push_str(&line(&obj(vec![
-        ("type", Value::Str("meta".into())),
-        ("schema", Value::UInt(NDJSON_SCHEMA as u64)),
-        ("tool", Value::Str("adapt-telemetry".into())),
-        ("repetitions", Value::UInt(repetitions as u64)),
-    ])));
-    out.push('\n');
-
+    let mut push = |ty: &str, parts: &[&dyn Serialize]| {
+        out.push_str(&codec::line(ty, parts));
+        out.push('\n');
+    };
+    let meta = Meta {
+        schema: NDJSON_SCHEMA as u64,
+        tool: "adapt-telemetry".into(),
+        repetitions: repetitions as u64,
+    };
+    push("meta", &[&meta]);
     for t in recorder.trial_records() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("trial".into())),
-            ("mode", Value::Str(t.mode.clone())),
-            ("seed", Value::UInt(t.seed)),
-            ("error_deg", Value::Float(t.error_deg)),
-            ("rings_in", Value::UInt(t.rings_in as u64)),
-            ("rings_surviving", Value::UInt(t.rings_surviving as u64)),
-            ("degenerate_rings", Value::UInt(t.degenerate_rings as u64)),
-            ("total_ms", Value::Float(t.total_ms)),
-        ])));
-        out.push('\n');
+        push("trial", &[&t]);
     }
-
     for ev in recorder.loop_events() {
-        let v = match &ev {
-            LoopEvent::Iteration { mode, seed, record } => obj(vec![
-                ("type", Value::Str("loop_iteration".into())),
-                ("mode", Value::Str(mode.clone())),
-                ("seed", Value::UInt(*seed)),
-                ("iteration", Value::UInt(record.iteration as u64)),
-                ("rings_in", Value::UInt(record.rings_in as u64)),
-                ("rings_kept", Value::UInt(record.rings_kept as u64)),
-                (
-                    "score_hist",
-                    Value::Arr(
-                        record
-                            .score_hist
-                            .iter()
-                            .map(|&c| Value::UInt(c as u64))
-                            .collect(),
-                    ),
-                ),
-                // NaN (no refine step this iteration) serializes as null
-                ("step_deg", Value::Float(record.step_deg)),
-            ]),
-            LoopEvent::Summary { mode, seed, record } => obj(vec![
-                ("type", Value::Str("loop_summary".into())),
-                ("mode", Value::Str(mode.clone())),
-                ("seed", Value::UInt(*seed)),
-                ("iterations", Value::UInt(record.iterations as u64)),
-                ("converged", Value::Bool(record.converged)),
-                (
-                    "surviving_rings",
-                    Value::UInt(record.surviving_rings as u64),
-                ),
-                (
-                    "mean_abs_d_eta_correction",
-                    Value::Float(record.mean_abs_d_eta_correction),
-                ),
-            ]),
-        };
-        out.push_str(&line(&v));
-        out.push('\n');
+        match ev {
+            // NaN `step_deg` (no refine step this iteration) writes null
+            LoopEvent::Iteration { mode, seed, record } => {
+                push("loop_iteration", &[&TrialContext { mode, seed }, &record])
+            }
+            LoopEvent::Summary { mode, seed, record } => {
+                push("loop_summary", &[&TrialContext { mode, seed }, &record])
+            }
+        }
     }
-
     for stage in Stage::ALL {
         let s = recorder.stage_snapshot(stage);
-        if s.count == 0 {
-            continue;
+        if s.count > 0 {
+            push(
+                "stage",
+                &[
+                    &StageName {
+                        stage: stage.name().into(),
+                    },
+                    &s,
+                ],
+            );
         }
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("stage".into())),
-            ("stage", Value::Str(stage.name().into())),
-            ("count", Value::UInt(s.count)),
-            ("mean_ms", Value::Float(s.mean_ms)),
-            ("p50_ms", Value::Float(s.p50_ms)),
-            ("p90_ms", Value::Float(s.p90_ms)),
-            ("p99_ms", Value::Float(s.p99_ms)),
-            ("min_ms", Value::Float(s.min_ms)),
-            ("max_ms", Value::Float(s.max_ms)),
-        ])));
-        out.push('\n');
     }
-
     for counter in Counter::ALL {
-        let v = recorder.counter(counter);
-        if v == 0 {
-            continue;
+        let value = recorder.counter(counter);
+        if value > 0 {
+            push(
+                "counter",
+                &[
+                    &Name {
+                        name: counter.name().into(),
+                    },
+                    &CounterValue { value },
+                ],
+            );
         }
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("counter".into())),
-            ("name", Value::Str(counter.name().into())),
-            ("value", Value::UInt(v)),
-        ])));
-        out.push('\n');
     }
-
     for d in recorder.degradation_records() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("degradation".into())),
-            ("t_s", Value::Float(d.t_s)),
-            ("from", Value::Str(d.from.clone())),
-            ("to", Value::Str(d.to.clone())),
-            ("reason", Value::Str(d.reason.clone())),
-        ])));
-        out.push('\n');
+        push("degradation", &[&d]);
     }
-
     for a in recorder.alert_records() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("alert".into())),
-            ("stream_id", Value::UInt(a.stream_id)),
-            ("t_s", Value::Float(a.t_s)),
-            ("mode", Value::Str(a.mode.clone())),
-            ("polar_deg", Value::Float(a.polar_deg)),
-            ("azimuth_deg", Value::Float(a.azimuth_deg)),
-            (
-                "containment_radius_deg",
-                Value::Float(a.containment_radius_deg),
-            ),
-            (
-                "containment_source",
-                Value::Str(a.containment_source.clone()),
-            ),
-            ("latency_ms", Value::Float(a.latency_ms)),
-            ("rings", Value::UInt(a.rings)),
-            ("ingest_depth", Value::UInt(a.ingest_depth)),
-            ("epoch_depth", Value::UInt(a.epoch_depth)),
-        ])));
-        out.push('\n');
+        push("alert", &[&a]);
     }
-
     for d in recorder.trigger_decision_records() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("trigger_decision".into())),
-            ("t_s", Value::Float(d.t_s)),
-            ("fired", Value::Bool(d.fired)),
-            ("near_truth", Value::Bool(d.near_truth)),
-            ("reason", Value::Str(d.reason.clone())),
-            ("background_rate_hz", Value::Float(d.background_rate_hz)),
-            (
-                "calibration_elapsed_s",
-                Value::Float(d.calibration_elapsed_s),
-            ),
-            ("threshold_sigma", Value::Float(d.threshold_sigma)),
-            ("frozen", Value::Bool(d.frozen)),
-            (
-                "windows",
-                Value::Arr(
-                    d.windows
-                        .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("width_s", Value::Float(w.width_s)),
-                                ("counts", Value::UInt(w.counts)),
-                                ("expected", Value::Float(w.expected)),
-                                ("sigma", Value::Float(w.sigma)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])));
-        out.push('\n');
+        push("trigger_decision", &[&d]);
     }
-
     for t in recorder.trace_records() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("trace".into())),
-            ("trace_id", Value::Str(t.trace_id.clone())),
-            ("span", Value::Str(t.span.clone())),
-            (
-                "parent",
-                match &t.parent {
-                    Some(p) => Value::Str(p.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("t_s", Value::Float(t.t_s)),
-            ("start_ms", Value::Float(t.start_ms)),
-            ("duration_ms", Value::Float(t.duration_ms)),
-            ("queue_depth", Value::UInt(t.queue_depth)),
-            ("detail", Value::Str(t.detail.clone())),
-        ])));
-        out.push('\n');
+        push("trace", &[&t]);
     }
-
     for (name, gauge) in recorder.queue_gauges() {
-        out.push_str(&line(&obj(vec![
-            ("type", Value::Str("queue".into())),
-            ("name", Value::Str(name)),
-            ("max_depth", Value::UInt(gauge.max_depth)),
-            ("samples", Value::UInt(gauge.samples)),
-        ])));
-        out.push('\n');
+        push("queue", &[&Name { name }, &gauge]);
     }
     out
 }
@@ -303,178 +207,89 @@ pub struct NdjsonSummary {
     pub decisions: Vec<TriggerDecisionRecord>,
 }
 
-fn need<'a>(v: &'a Value, key: &str, lineno: usize) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("line {lineno}: missing field `{key}`"))
-}
-
-fn need_num(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
-    match need(v, key, lineno)? {
-        Value::Int(n) => Ok(*n as f64),
-        Value::UInt(n) => Ok(*n as f64),
-        Value::Float(x) => Ok(*x),
-        other => Err(format!(
-            "line {lineno}: field `{key}` must be a number, got {other:?}"
-        )),
-    }
-}
-
-fn need_uint(v: &Value, key: &str, lineno: usize) -> Result<u64, String> {
-    match need(v, key, lineno)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-        other => Err(format!(
-            "line {lineno}: field `{key}` must be a non-negative integer, got {other:?}"
-        )),
-    }
-}
-
-fn need_str(v: &Value, key: &str, lineno: usize) -> Result<String, String> {
-    need(v, key, lineno)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {lineno}: field `{key}` must be a string"))
-}
-
-/// A string field that older schemas did not write: absent yields
-/// `default`, present must be a string.
-fn opt_str(v: &Value, key: &str, default: &str, lineno: usize) -> Result<String, String> {
-    match v.get(key) {
-        None => Ok(default.to_string()),
-        Some(val) => val
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("line {lineno}: field `{key}` must be a string")),
-    }
-}
-
 /// Validate NDJSON text against the schema. Returns a summary on
 /// success, a line-located error message on the first violation.
 pub fn validate(text: &str) -> Result<NdjsonSummary, String> {
     let mut summary = NdjsonSummary::default();
     let mut saw_meta = false;
     let mut d_eta_sum = 0.0;
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let v: Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-        if v.as_obj().is_none() {
-            return Err(format!("line {lineno}: expected a JSON object"));
-        }
-        let ty = need_str(&v, "type", lineno)?;
+    for line in codec::lines(text) {
+        let mut line = line?;
+        let lineno = line.lineno;
         if !saw_meta {
-            if ty != "meta" {
+            if line.ty != "meta" {
                 return Err(format!(
-                    "line {lineno}: first line must be `meta`, got `{ty}`"
+                    "line {lineno}: first line must be `meta`, got `{}`",
+                    line.ty
                 ));
             }
-            summary.schema = need_uint(&v, "schema", lineno)?;
-            if summary.schema == 0 || summary.schema > NDJSON_SCHEMA as u64 {
+            let meta: Meta = line.read()?;
+            if meta.schema == 0 || meta.schema > NDJSON_SCHEMA as u64 {
                 return Err(format!(
                     "line {lineno}: unsupported schema {} (this build reads <= {NDJSON_SCHEMA})",
-                    summary.schema
+                    meta.schema
                 ));
             }
-            summary.repetitions = need_uint(&v, "repetitions", lineno)?;
+            summary.schema = meta.schema;
+            summary.repetitions = meta.repetitions;
             saw_meta = true;
             continue;
         }
-        match ty.as_str() {
+        match line.ty.as_str() {
             "meta" => return Err(format!("line {lineno}: duplicate `meta` line")),
             "trial" => {
-                let mode = need_str(&v, "mode", lineno)?;
-                need_uint(&v, "seed", lineno)?;
-                let err = need_num(&v, "error_deg", lineno)?;
-                if !(0.0..=180.0).contains(&err) {
-                    return Err(format!("line {lineno}: error_deg {err} outside [0, 180]"));
-                }
-                let rings_in = need_uint(&v, "rings_in", lineno)?;
-                let surviving = need_uint(&v, "rings_surviving", lineno)?;
-                if surviving > rings_in {
+                let t: TrialRecord = line.read()?;
+                if !(0.0..=180.0).contains(&t.error_deg) {
                     return Err(format!(
-                        "line {lineno}: rings_surviving {surviving} > rings_in {rings_in}"
+                        "line {lineno}: error_deg {} outside [0, 180]",
+                        t.error_deg
                     ));
                 }
-                need_uint(&v, "degenerate_rings", lineno)?;
-                need_num(&v, "total_ms", lineno)?;
-                if !summary.modes.contains(&mode) {
-                    summary.modes.push(mode);
+                if t.rings_surviving > t.rings_in {
+                    return Err(format!(
+                        "line {lineno}: rings_surviving {} > rings_in {}",
+                        t.rings_surviving, t.rings_in
+                    ));
+                }
+                if !summary.modes.contains(&t.mode) {
+                    summary.modes.push(t.mode);
                 }
                 summary.n_trials += 1;
             }
             "loop_iteration" => {
-                need_str(&v, "mode", lineno)?;
-                need_uint(&v, "seed", lineno)?;
-                let iter = need_uint(&v, "iteration", lineno)?;
-                if iter == 0 {
+                line.read::<TrialContext>()?;
+                // step_deg is null when the iteration made no refine step
+                let r: LoopIterationRecord = line.read_nullable(&["step_deg"])?;
+                if r.iteration == 0 {
                     return Err(format!("line {lineno}: iteration must be >= 1"));
                 }
-                let rings_in = need_uint(&v, "rings_in", lineno)?;
-                let kept = need_uint(&v, "rings_kept", lineno)?;
-                if kept > rings_in {
+                if r.rings_kept > r.rings_in {
                     return Err(format!(
-                        "line {lineno}: rings_kept {kept} > rings_in {rings_in}"
+                        "line {lineno}: rings_kept {} > rings_in {}",
+                        r.rings_kept, r.rings_in
                     ));
                 }
-                let hist = need(&v, "score_hist", lineno)?
-                    .as_arr()
-                    .ok_or_else(|| format!("line {lineno}: score_hist must be an array"))?;
-                if hist.len() != crate::recorder::SCORE_BINS {
+                let total: u64 = r.score_hist.iter().map(|&c| c as u64).sum();
+                if total != r.rings_in as u64 {
                     return Err(format!(
-                        "line {lineno}: score_hist has {} bins, expected {}",
-                        hist.len(),
-                        crate::recorder::SCORE_BINS
+                        "line {lineno}: score_hist totals {total}, expected rings_in {}",
+                        r.rings_in
                     ));
-                }
-                let total: u64 = hist
-                    .iter()
-                    .map(|b| match b {
-                        Value::UInt(n) => Ok(*n),
-                        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-                        _ => Err(format!("line {lineno}: score_hist bins must be counts")),
-                    })
-                    .sum::<Result<u64, String>>()?;
-                if total != rings_in {
-                    return Err(format!(
-                        "line {lineno}: score_hist totals {total}, expected rings_in {rings_in}"
-                    ));
-                }
-                // step_deg must be present; null (no refine step) is legal
-                match need(&v, "step_deg", lineno)? {
-                    Value::Null | Value::Float(_) | Value::Int(_) | Value::UInt(_) => {}
-                    _ => return Err(format!("line {lineno}: step_deg must be a number or null")),
                 }
                 summary.n_loop_iterations += 1;
             }
             "loop_summary" => {
-                need_str(&v, "mode", lineno)?;
-                need_uint(&v, "seed", lineno)?;
-                need_uint(&v, "iterations", lineno)?;
-                match need(&v, "converged", lineno)? {
-                    Value::Bool(_) => {}
-                    _ => return Err(format!("line {lineno}: converged must be a bool")),
-                }
-                need_uint(&v, "surviving_rings", lineno)?;
-                d_eta_sum += need_num(&v, "mean_abs_d_eta_correction", lineno)?;
+                line.read::<TrialContext>()?;
+                let r: LoopSummaryRecord = line.read()?;
+                d_eta_sum += r.mean_abs_d_eta_correction;
                 summary.n_loop_summaries += 1;
             }
             "stage" => {
-                let name = need_str(&v, "stage", lineno)?;
+                let name = line.read::<StageName>()?.stage;
                 if Stage::parse(&name).is_none() {
                     return Err(format!("line {lineno}: unknown stage `{name}`"));
                 }
-                let snap = HistogramSnapshot {
-                    count: need_uint(&v, "count", lineno)?,
-                    mean_ms: need_num(&v, "mean_ms", lineno)?,
-                    p50_ms: need_num(&v, "p50_ms", lineno)?,
-                    p90_ms: need_num(&v, "p90_ms", lineno)?,
-                    p99_ms: need_num(&v, "p99_ms", lineno)?,
-                    min_ms: need_num(&v, "min_ms", lineno)?,
-                    max_ms: need_num(&v, "max_ms", lineno)?,
-                };
+                let snap: HistogramSnapshot = line.read()?;
                 if snap.count == 0 {
                     return Err(format!("line {lineno}: stage `{name}` has count 0"));
                 }
@@ -490,199 +305,120 @@ pub fn validate(text: &str) -> Result<NdjsonSummary, String> {
                 summary.stages.push((name, snap));
             }
             "counter" => {
-                let name = need_str(&v, "name", lineno)?;
+                let name = line.read::<Name>()?.name;
                 if !Counter::ALL.iter().any(|c| c.name() == name) {
                     return Err(format!("line {lineno}: unknown counter `{name}`"));
                 }
-                let value = need_uint(&v, "value", lineno)?;
+                let value = line.read::<CounterValue>()?.value;
                 summary.counters.push((name, value));
             }
             "degradation" => {
-                let t_s = need_num(&v, "t_s", lineno)?;
-                let from = need_str(&v, "from", lineno)?;
-                let to = need_str(&v, "to", lineno)?;
-                if from == to {
+                let d: DegradationRecord = line.read()?;
+                if d.from == d.to {
                     return Err(format!(
-                        "line {lineno}: degradation transition from `{from}` to itself"
+                        "line {lineno}: degradation transition from `{}` to itself",
+                        d.from
                     ));
                 }
-                let reason = need_str(&v, "reason", lineno)?;
-                summary.degradations.push(DegradationRecord {
-                    t_s,
-                    from,
-                    to,
-                    reason,
-                });
+                summary.degradations.push(d);
             }
             "alert" => {
-                let t_s = need_num(&v, "t_s", lineno)?;
-                let mode = need_str(&v, "mode", lineno)?;
-                if mode.is_empty() {
+                // added in schema 8; older captures were single-stream
+                line.or_insert("stream_id", Value::UInt(0));
+                // added in schema 7; older captures all used the heuristic
+                line.or_insert("containment_source", Value::Str("heuristic".into()));
+                let a: AlertRecord = line.read()?;
+                if a.mode.is_empty() {
                     return Err(format!("line {lineno}: alert mode must be non-empty"));
                 }
-                let polar_deg = need_num(&v, "polar_deg", lineno)?;
-                if !(0.0..=180.0).contains(&polar_deg) {
+                if !(0.0..=180.0).contains(&a.polar_deg) {
                     return Err(format!(
-                        "line {lineno}: alert polar_deg {polar_deg} outside [0, 180]"
+                        "line {lineno}: alert polar_deg {} outside [0, 180]",
+                        a.polar_deg
                     ));
                 }
-                let azimuth_deg = need_num(&v, "azimuth_deg", lineno)?;
-                let containment_radius_deg = need_num(&v, "containment_radius_deg", lineno)?;
-                if !(0.0..=180.0).contains(&containment_radius_deg) {
+                if !(0.0..=180.0).contains(&a.containment_radius_deg) {
                     return Err(format!(
-                        "line {lineno}: containment_radius_deg {containment_radius_deg} \
-                         outside [0, 180]"
+                        "line {lineno}: containment_radius_deg {} outside [0, 180]",
+                        a.containment_radius_deg
                     ));
                 }
-                let latency_ms = need_num(&v, "latency_ms", lineno)?;
-                if !latency_ms.is_finite() || latency_ms < 0.0 {
+                if !a.latency_ms.is_finite() || a.latency_ms < 0.0 {
                     return Err(format!(
-                        "line {lineno}: latency_ms {latency_ms} must be finite and >= 0"
+                        "line {lineno}: latency_ms {} must be finite and >= 0",
+                        a.latency_ms
                     ));
                 }
-                // Added in schema 7; older captures default to the
-                // heuristic estimator, which is what they all used.
-                let containment_source = opt_str(&v, "containment_source", "heuristic", lineno)?;
-                if containment_source != "skymap" && containment_source != "heuristic" {
+                if a.containment_source != "skymap" && a.containment_source != "heuristic" {
                     return Err(format!(
-                        "line {lineno}: containment_source `{containment_source}` is not \
-                         one of skymap|heuristic"
+                        "line {lineno}: containment_source `{}` is not one of skymap|heuristic",
+                        a.containment_source
                     ));
                 }
-                summary.alerts.push(AlertRecord {
-                    // added in schema 8; older captures were single-stream
-                    stream_id: match v.get("stream_id") {
-                        None => 0,
-                        Some(_) => need_uint(&v, "stream_id", lineno)?,
-                    },
-                    t_s,
-                    mode,
-                    polar_deg,
-                    azimuth_deg,
-                    containment_radius_deg,
-                    containment_source,
-                    latency_ms,
-                    rings: need_uint(&v, "rings", lineno)?,
-                    ingest_depth: need_uint(&v, "ingest_depth", lineno)?,
-                    epoch_depth: need_uint(&v, "epoch_depth", lineno)?,
-                });
+                summary.alerts.push(a);
             }
             "queue" => {
-                let name = need_str(&v, "name", lineno)?;
-                let max_depth = need_uint(&v, "max_depth", lineno)?;
-                let samples = need_uint(&v, "samples", lineno)?;
-                if samples == 0 {
+                let name = line.read::<Name>()?.name;
+                let gauge: QueueGauge = line.read()?;
+                if gauge.samples == 0 {
                     return Err(format!("line {lineno}: queue `{name}` has 0 samples"));
                 }
-                summary.queues.push((name, max_depth, samples));
+                summary.queues.push((name, gauge.max_depth, gauge.samples));
             }
             "trace" => {
-                let trace_id = need_str(&v, "trace_id", lineno)?;
-                if trace_id.is_empty() {
+                let t: TraceSpanRecord = line.read()?;
+                if t.trace_id.is_empty() {
                     return Err(format!("line {lineno}: trace_id must be non-empty"));
                 }
-                let span = need_str(&v, "span", lineno)?;
-                if span.is_empty() {
+                if t.span.is_empty() {
                     return Err(format!("line {lineno}: span must be non-empty"));
                 }
-                let parent = match need(&v, "parent", lineno)? {
-                    Value::Null => None,
-                    Value::Str(p) if !p.is_empty() => Some(p.clone()),
-                    other => {
+                if t.parent.as_deref() == Some("") {
+                    return Err(format!(
+                        "line {lineno}: parent must be null or a non-empty string"
+                    ));
+                }
+                if t.parent.as_deref() == Some(t.span.as_str()) {
+                    return Err(format!(
+                        "line {lineno}: span `{}` is its own parent",
+                        t.span
+                    ));
+                }
+                for (field, ms) in [("start_ms", t.start_ms), ("duration_ms", t.duration_ms)] {
+                    if !ms.is_finite() || ms < 0.0 {
                         return Err(format!(
-                            "line {lineno}: parent must be null or a non-empty string, \
-                             got {other:?}"
-                        ))
-                    }
-                };
-                if parent.as_deref() == Some(span.as_str()) {
-                    return Err(format!("line {lineno}: span `{span}` is its own parent"));
-                }
-                let t_s = need_num(&v, "t_s", lineno)?;
-                let start_ms = need_num(&v, "start_ms", lineno)?;
-                let duration_ms = need_num(&v, "duration_ms", lineno)?;
-                if !start_ms.is_finite() || start_ms < 0.0 {
-                    return Err(format!(
-                        "line {lineno}: start_ms {start_ms} must be finite and >= 0"
-                    ));
-                }
-                if !duration_ms.is_finite() || duration_ms < 0.0 {
-                    return Err(format!(
-                        "line {lineno}: duration_ms {duration_ms} must be finite and >= 0"
-                    ));
-                }
-                summary.traces.push(TraceSpanRecord {
-                    trace_id,
-                    span,
-                    parent,
-                    t_s,
-                    start_ms,
-                    duration_ms,
-                    queue_depth: need_uint(&v, "queue_depth", lineno)?,
-                    detail: need_str(&v, "detail", lineno)?,
-                });
-            }
-            "trigger_decision" => {
-                let t_s = need_num(&v, "t_s", lineno)?;
-                let fired = match need(&v, "fired", lineno)? {
-                    Value::Bool(b) => *b,
-                    _ => return Err(format!("line {lineno}: fired must be a bool")),
-                };
-                let near_truth = match need(&v, "near_truth", lineno)? {
-                    Value::Bool(b) => *b,
-                    _ => return Err(format!("line {lineno}: near_truth must be a bool")),
-                };
-                let reason = need_str(&v, "reason", lineno)?;
-                if reason.is_empty() {
-                    return Err(format!("line {lineno}: decision reason must be non-empty"));
-                }
-                let background_rate_hz = need_num(&v, "background_rate_hz", lineno)?;
-                if !background_rate_hz.is_finite() || background_rate_hz < 0.0 {
-                    return Err(format!(
-                        "line {lineno}: background_rate_hz {background_rate_hz} must be \
-                         finite and >= 0"
-                    ));
-                }
-                let calibration_elapsed_s = need_num(&v, "calibration_elapsed_s", lineno)?;
-                let threshold_sigma = need_num(&v, "threshold_sigma", lineno)?;
-                let frozen = match need(&v, "frozen", lineno)? {
-                    Value::Bool(b) => *b,
-                    _ => return Err(format!("line {lineno}: frozen must be a bool")),
-                };
-                let raw_windows = need(&v, "windows", lineno)?
-                    .as_arr()
-                    .ok_or_else(|| format!("line {lineno}: windows must be an array"))?;
-                let mut windows = Vec::with_capacity(raw_windows.len());
-                for w in raw_windows {
-                    let width_s = need_num(w, "width_s", lineno)?;
-                    if width_s <= 0.0 {
-                        return Err(format!(
-                            "line {lineno}: window width_s {width_s} must be > 0"
+                            "line {lineno}: {field} {ms} must be finite and >= 0"
                         ));
                     }
-                    windows.push(WindowDecision {
-                        width_s,
-                        counts: need_uint(w, "counts", lineno)?,
-                        expected: need_num(w, "expected", lineno)?,
-                        sigma: need_num(w, "sigma", lineno)?,
-                    });
                 }
-                if fired && reason != "fired" {
+                summary.traces.push(t);
+            }
+            "trigger_decision" => {
+                // first the windows alone, so an error names their field
+                line.read_items::<WindowDecision>("windows")?;
+                let d: TriggerDecisionRecord = line.read()?;
+                if d.reason.is_empty() {
+                    return Err(format!("line {lineno}: decision reason must be non-empty"));
+                }
+                if !d.background_rate_hz.is_finite() || d.background_rate_hz < 0.0 {
                     return Err(format!(
-                        "line {lineno}: fired decision must carry reason `fired`, got `{reason}`"
+                        "line {lineno}: background_rate_hz {} must be finite and >= 0",
+                        d.background_rate_hz
                     ));
                 }
-                summary.decisions.push(TriggerDecisionRecord {
-                    t_s,
-                    fired,
-                    near_truth,
-                    reason,
-                    background_rate_hz,
-                    calibration_elapsed_s,
-                    threshold_sigma,
-                    frozen,
-                    windows,
-                });
+                if let Some(w) = d.windows.iter().find(|w| w.width_s <= 0.0) {
+                    return Err(format!(
+                        "line {lineno}: window width_s {} must be > 0",
+                        w.width_s
+                    ));
+                }
+                if d.fired && d.reason != "fired" {
+                    return Err(format!(
+                        "line {lineno}: fired decision must carry reason `fired`, got `{}`",
+                        d.reason
+                    ));
+                }
+                summary.decisions.push(d);
             }
             other => return Err(format!("line {lineno}: unknown line type `{other}`")),
         }

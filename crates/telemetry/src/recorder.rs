@@ -9,6 +9,7 @@
 //! cold, once-per-iteration path only).
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -203,7 +204,7 @@ impl Counter {
 pub const SCORE_BINS: usize = 10;
 
 /// One background-rejection iteration of the Fig.-6 loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LoopIterationRecord {
     /// 1-based iteration index within this localization.
     pub iteration: usize,
@@ -220,7 +221,7 @@ pub struct LoopIterationRecord {
 }
 
 /// End-of-loop summary of one localization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LoopSummaryRecord {
     /// Iterations executed.
     pub iterations: usize,
@@ -236,7 +237,7 @@ pub struct LoopSummaryRecord {
 /// One degradation-level transition of the onboard scheduler. Levels are
 /// plain strings so the telemetry crate stays decoupled from the onboard
 /// runtime's ladder definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DegradationRecord {
     /// Stream time of the epoch that caused the transition (s).
     pub t_s: f64,
@@ -253,7 +254,7 @@ pub struct DegradationRecord {
 /// stream 0) and carried through queueing, scheduling, localization, and
 /// fan-out, so one alert's full photon→mailbox path can be reconstructed
 /// as a span tree from the NDJSON capture (`telemetry-report --trace`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TraceSpanRecord {
     /// Trace id shared by every span of one epoch (`s{stream}.e{epoch}`).
     pub trace_id: String,
@@ -278,7 +279,7 @@ pub struct TraceSpanRecord {
 /// One trigger window's evidence inside a [`TriggerDecisionRecord`]: the
 /// counts/expectation/σ the trigger computed for a single sliding-window
 /// width at the decision instant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct WindowDecision {
     /// Sliding-window width (s).
     pub width_s: f64,
@@ -296,7 +297,7 @@ pub struct WindowDecision {
 /// runtime emits these near ground-truth onsets (and for every fire), so
 /// `telemetry-report --forensics` can reconstruct *why* a burst was
 /// missed or a background ramp fired.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TriggerDecisionRecord {
     /// Stream time of the evaluated event (s).
     pub t_s: f64,
@@ -321,7 +322,7 @@ pub struct TriggerDecisionRecord {
 }
 
 /// One emitted GRB alert, as seen by telemetry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AlertRecord {
     /// Tenant stream that triggered (`0` for the single-stream flight
     /// runtime).
@@ -425,7 +426,7 @@ pub fn noop() -> &'static NoopRecorder {
 
 /// One completed trial, as recorded by a driver (not part of the hot-path
 /// [`Recorder`] trait — drivers push it once per trial).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrialRecord {
     /// Pipeline mode machine name (e.g. `ml`, `baseline`).
     pub mode: String,
@@ -484,7 +485,7 @@ pub struct FlightRecorder {
 
 /// Aggregated queue-depth gauge: maximum observed depth and how many
 /// samples contributed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueGauge {
     /// Highest depth seen.
     pub max_depth: u64,

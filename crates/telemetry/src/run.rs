@@ -23,6 +23,7 @@
 //! show` and the CI gate; [`diff_manifests`] renders the config and
 //! metric deltas between two runs.
 
+use crate::codec;
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -33,12 +34,8 @@ use std::time::Instant;
 /// Current run-NDJSON and manifest schema version.
 pub const RUN_SCHEMA: u32 = 1;
 
-/// PSI above which a feature counts as drifted (industry-standard 0.2
-/// "significant shift" threshold; also used by the drift counters).
-pub const PSI_FLAG_THRESHOLD: f64 = 0.2;
-
 /// One epoch of one model's training, as streamed into `epochs.ndjson`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// Epoch index, 0-based.
     pub epoch: usize,
@@ -287,8 +284,61 @@ pub struct RunTracker {
     inner: Mutex<TrackerInner>,
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// The stream's `meta` line.
+#[derive(Default, Serialize, Deserialize)]
+struct RunMeta {
+    schema: u64,
+    #[serde(default)]
+    tool: String,
+    run_id: String,
+    kind: String,
+    data_seed: u64,
+}
+
+/// Prefix of epoch and abort lines: the model being trained.
+#[derive(Default, Serialize, Deserialize)]
+struct Model {
+    model: String,
+}
+
+/// Body of an `abort` line.
+#[derive(Default, Serialize, Deserialize)]
+struct Abort {
+    epoch: u64,
+    reason: String,
+}
+
+/// A `search_trial` line.
+#[derive(Default, Serialize, Deserialize)]
+struct SearchTrial {
+    trial: u64,
+    /// The trial's configuration as JSON (a string when it was not JSON).
+    config: Option<Value>,
+    val_loss: f64,
+}
+
+/// Run-stream fields that may be `null`: a non-finite value is legal
+/// only because the watchdog abort line that follows records why.
+const NULLABLE_LOSSES: &[&str] = &[
+    "train_loss",
+    "val_loss",
+    "metric",
+    "grad_norm",
+    "learning_rate",
+    "wall_ms",
+];
+
+/// One row of `leaderboard.json`.
+#[derive(Serialize)]
+struct LeaderboardRow {
+    rank: u64,
+    config: Value,
+    val_loss: f64,
+}
+
+/// `text` parsed as JSON, or kept as a JSON string when it is not JSON.
+fn config_value(text: &str) -> Value {
+    serde_json::from_str(text).unwrap_or_else(|_| Value::Str(text.to_string()))
 }
 
 impl RunTracker {
@@ -316,15 +366,14 @@ impl RunTracker {
         fs::create_dir_all(&dir)?;
         let file = File::create(dir.join("epochs.ndjson"))?;
         let mut writer = BufWriter::new(file);
-        let meta = obj(vec![
-            ("type", Value::Str("meta".into())),
-            ("schema", Value::UInt(RUN_SCHEMA as u64)),
-            ("tool", Value::Str("adapt-run-tracker".into())),
-            ("run_id", Value::Str(run_id.into())),
-            ("kind", Value::Str(kind.into())),
-            ("data_seed", Value::UInt(data_seed)),
-        ]);
-        writeln!(writer, "{}", serde_json::to_string(&meta).unwrap())?;
+        let meta = RunMeta {
+            schema: RUN_SCHEMA as u64,
+            tool: "adapt-run-tracker".into(),
+            run_id: run_id.into(),
+            kind: kind.into(),
+            data_seed,
+        };
+        writeln!(writer, "{}", codec::line("meta", &[&meta]))?;
         writer.flush()?;
         Ok(RunTracker {
             dir,
@@ -341,12 +390,6 @@ impl RunTracker {
                 leaderboard: Vec::new(),
             }),
         })
-    }
-
-    /// Override the watchdog thresholds (before training starts).
-    pub fn with_watchdog(self, config: WatchdogConfig) -> Self {
-        self.inner.lock().unwrap().watchdog = Watchdog::new(config);
-        self
     }
 
     /// This run's id.
@@ -371,35 +414,21 @@ impl RunTracker {
     /// fired — the caller must stop training the current model.
     pub fn log_epoch(&self, r: &EpochRecord) -> Option<String> {
         let mut inner = self.inner.lock().unwrap();
-        let line = obj(vec![
-            ("type", Value::Str("epoch".into())),
-            ("model", Value::Str(inner.model.clone())),
-            ("epoch", Value::UInt(r.epoch as u64)),
-            ("train_loss", Value::Float(r.train_loss)),
-            ("val_loss", Value::Float(r.val_loss)),
-            ("metric", Value::Float(r.metric)),
-            ("grad_norm", Value::Float(r.grad_norm)),
-            ("learning_rate", Value::Float(r.learning_rate)),
-            ("wall_ms", Value::Float(r.wall_ms)),
-        ]);
-        let _ = writeln!(inner.writer, "{}", serde_json::to_string(&line).unwrap());
+        let model = Model {
+            model: inner.model.clone(),
+        };
+        let _ = writeln!(inner.writer, "{}", codec::line("epoch", &[&model, r]));
         inner.epochs += 1;
         if r.val_loss.is_finite() && r.val_loss < inner.best_val {
             inner.best_val = r.val_loss;
         }
         if let Some(reason) = inner.watchdog.observe(r) {
             let reason_text = reason.to_string();
-            let abort_line = obj(vec![
-                ("type", Value::Str("abort".into())),
-                ("model", Value::Str(inner.model.clone())),
-                ("epoch", Value::UInt(r.epoch as u64)),
-                ("reason", Value::Str(reason_text.clone())),
-            ]);
-            let _ = writeln!(
-                inner.writer,
-                "{}",
-                serde_json::to_string(&abort_line).unwrap()
-            );
+            let abort = Abort {
+                epoch: r.epoch as u64,
+                reason: reason_text.clone(),
+            };
+            let _ = writeln!(inner.writer, "{}", codec::line("abort", &[&model, &abort]));
             let _ = inner.writer.flush();
             inner.abort = Some(reason_text.clone());
             return Some(reason_text);
@@ -410,16 +439,14 @@ impl RunTracker {
     /// Stream one hyperparameter-search trial (config as JSON text).
     pub fn log_search_trial(&self, index: usize, config_json: &str, val_loss: f64) {
         let mut inner = self.inner.lock().unwrap();
-        let config = serde_json::from_str::<Value>(config_json)
-            .unwrap_or_else(|_| Value::Str(config_json.to_string()));
+        let config = config_value(config_json);
         let config_text = serde_json::to_string(&config).unwrap();
-        let line = obj(vec![
-            ("type", Value::Str("search_trial".into())),
-            ("trial", Value::UInt(index as u64)),
-            ("config", config),
-            ("val_loss", Value::Float(val_loss)),
-        ]);
-        let _ = writeln!(inner.writer, "{}", serde_json::to_string(&line).unwrap());
+        let trial = SearchTrial {
+            trial: index as u64,
+            config: Some(config),
+            val_loss,
+        };
+        let _ = writeln!(inner.writer, "{}", codec::line("search_trial", &[&trial]));
         if val_loss.is_finite() && val_loss < inner.best_val {
             inner.best_val = val_loss;
         }
@@ -441,23 +468,18 @@ impl RunTracker {
         if !inner.leaderboard.is_empty() {
             let mut board = inner.leaderboard.clone();
             board.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            let rows: Vec<Value> = board
+            let rows: Vec<LeaderboardRow> = board
                 .iter()
                 .enumerate()
-                .map(|(rank, (cfg, loss))| {
-                    obj(vec![
-                        ("rank", Value::UInt(rank as u64 + 1)),
-                        (
-                            "config",
-                            serde_json::from_str(cfg).unwrap_or(Value::Str(cfg.clone())),
-                        ),
-                        ("val_loss", Value::Float(*loss)),
-                    ])
+                .map(|(rank, (cfg, loss))| LeaderboardRow {
+                    rank: rank as u64 + 1,
+                    config: config_value(cfg),
+                    val_loss: *loss,
                 })
                 .collect();
             write_atomic(
                 &self.dir.join("leaderboard.json"),
-                &serde_json::to_string(&Value::Arr(rows)).unwrap(),
+                &serde_json::to_string(&rows).unwrap(),
             )?;
         }
         let manifest = RunManifest {
@@ -518,42 +540,6 @@ pub struct RunSummary {
     pub aborted: Option<String>,
 }
 
-fn need<'a>(v: &'a Value, key: &str, lineno: usize) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("line {lineno}: missing field `{key}`"))
-}
-
-fn need_num_or_null(v: &Value, key: &str, lineno: usize) -> Result<f64, String> {
-    match need(v, key, lineno)? {
-        Value::Int(n) => Ok(*n as f64),
-        Value::UInt(n) => Ok(*n as f64),
-        Value::Float(x) => Ok(*x),
-        // non-finite floats serialize as null; a null metric is legal
-        // only because the watchdog abort line that follows records why
-        Value::Null => Ok(f64::NAN),
-        other => Err(format!(
-            "line {lineno}: field `{key}` must be a number, got {other:?}"
-        )),
-    }
-}
-
-fn need_uint(v: &Value, key: &str, lineno: usize) -> Result<u64, String> {
-    match need(v, key, lineno)? {
-        Value::UInt(n) => Ok(*n),
-        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-        other => Err(format!(
-            "line {lineno}: field `{key}` must be a non-negative integer, got {other:?}"
-        )),
-    }
-}
-
-fn need_str(v: &Value, key: &str, lineno: usize) -> Result<String, String> {
-    need(v, key, lineno)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {lineno}: field `{key}` must be a string"))
-}
-
 /// Validate a run's `epochs.ndjson` text. Checks the meta line, field
 /// types, per-model epoch ordering, and abort-line structure; returns a
 /// [`RunSummary`] on success, a line-located error on the first
@@ -562,84 +548,71 @@ pub fn validate_run(text: &str) -> Result<RunSummary, String> {
     let mut summary = RunSummary::default();
     let mut saw_meta = false;
     // (model, last epoch) pairs for ordering checks
-    let mut last_epoch: Vec<(String, u64)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let v: Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-        if v.as_obj().is_none() {
-            return Err(format!("line {lineno}: expected a JSON object"));
-        }
-        let ty = need_str(&v, "type", lineno)?;
+    let mut last_epoch: Vec<(String, usize)> = Vec::new();
+    for line in codec::lines(text) {
+        let line = line?;
+        let lineno = line.lineno;
         if !saw_meta {
-            if ty != "meta" {
+            if line.ty != "meta" {
                 return Err(format!(
-                    "line {lineno}: first line must be `meta`, got `{ty}`"
+                    "line {lineno}: first line must be `meta`, got `{}`",
+                    line.ty
                 ));
             }
-            summary.schema = need_uint(&v, "schema", lineno)?;
-            if summary.schema == 0 || summary.schema > RUN_SCHEMA as u64 {
+            let meta: RunMeta = line.read()?;
+            if meta.schema == 0 || meta.schema > RUN_SCHEMA as u64 {
                 return Err(format!(
                     "line {lineno}: unsupported run schema {} (this build reads <= {RUN_SCHEMA})",
-                    summary.schema
+                    meta.schema
                 ));
             }
-            summary.run_id = need_str(&v, "run_id", lineno)?;
-            summary.kind = need_str(&v, "kind", lineno)?;
-            need_uint(&v, "data_seed", lineno)?;
+            summary.schema = meta.schema;
+            summary.run_id = meta.run_id;
+            summary.kind = meta.kind;
             saw_meta = true;
             continue;
         }
-        match ty.as_str() {
+        match line.ty.as_str() {
             "meta" => return Err(format!("line {lineno}: duplicate `meta` line")),
             "epoch" => {
-                let model = need_str(&v, "model", lineno)?;
-                let epoch = need_uint(&v, "epoch", lineno)?;
-                let val_loss = need_num_or_null(&v, "val_loss", lineno)?;
-                need_num_or_null(&v, "train_loss", lineno)?;
-                need_num_or_null(&v, "metric", lineno)?;
-                need_num_or_null(&v, "grad_norm", lineno)?;
-                let lr = need_num_or_null(&v, "learning_rate", lineno)?;
+                let model = line.read::<Model>()?.model;
+                let r: EpochRecord = line.read_nullable(NULLABLE_LOSSES)?;
+                let lr = r.learning_rate;
                 if lr.is_finite() && lr <= 0.0 {
                     return Err(format!("line {lineno}: learning_rate {lr} must be > 0"));
                 }
-                need_num_or_null(&v, "wall_ms", lineno)?;
                 match last_epoch.iter_mut().find(|(m, _)| *m == model) {
                     Some((_, last)) => {
-                        if epoch <= *last {
+                        if r.epoch <= *last {
                             return Err(format!(
-                                "line {lineno}: out-of-order epoch {epoch} for model `{model}` \
-                                 (previous {last})"
+                                "line {lineno}: out-of-order epoch {} for model `{model}` \
+                                 (previous {last})",
+                                r.epoch
                             ));
                         }
-                        *last = epoch;
+                        *last = r.epoch;
                     }
-                    None => last_epoch.push((model.clone(), epoch)),
+                    None => last_epoch.push((model.clone(), r.epoch)),
                 }
-                if !summary.models.contains(&model) {
-                    summary.models.push(model.clone());
-                    summary.final_val_losses.push(val_loss);
-                } else if let Some(idx) = summary.models.iter().position(|m| *m == model) {
-                    summary.final_val_losses[idx] = val_loss;
+                match summary.models.iter().position(|m| *m == model) {
+                    Some(idx) => summary.final_val_losses[idx] = r.val_loss,
+                    None => {
+                        summary.models.push(model);
+                        summary.final_val_losses.push(r.val_loss);
+                    }
                 }
                 summary.n_epochs += 1;
             }
             "abort" => {
-                need_str(&v, "model", lineno)?;
-                need_uint(&v, "epoch", lineno)?;
-                let reason = need_str(&v, "reason", lineno)?;
+                line.read::<Model>()?;
+                let abort: Abort = line.read()?;
                 if summary.aborted.is_some() {
                     return Err(format!("line {lineno}: duplicate `abort` line"));
                 }
-                summary.aborted = Some(reason);
+                summary.aborted = Some(abort.reason);
             }
             "search_trial" => {
-                need_uint(&v, "trial", lineno)?;
-                need(&v, "config", lineno)?;
-                need_num_or_null(&v, "val_loss", lineno)?;
+                line.read_nullable::<SearchTrial>(&["val_loss"])?;
                 summary.n_search_trials += 1;
             }
             other => return Err(format!("line {lineno}: unknown line type `{other}`")),
