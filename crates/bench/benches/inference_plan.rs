@@ -9,21 +9,26 @@
 //!   zero-alloc scratch) against the per-sample scalar reference
 //!   `QuantizedMlp::forward_one_reference` on the same batch;
 //! * **coarse-to-fine sky maps** — `SkyPosterior::adaptive` against
-//!   the flat `SkyPosterior::flat` sweep on a ≥10k-pixel raster grid.
+//!   the flat sweep `SkyPosterior::flat` runs (`sweep_cone_logls` over
+//!   every pixel) on a ≥10k-pixel raster grid.
 //!
 //! Each group also times its compiled arm (the flat sweep, for the sky
-//! map) with dispatch pinned to the portable kernels, so the SIMD
-//! speedup of every vectorized kernel is measured on identical inputs in
-//! the same process. `cargo bench --bench inference_plan`; end-to-end
+//! map) compiled for, or swept on, the portable rung, so the SIMD speedup
+//! of every vectorized kernel is measured on identical inputs in the
+//! same process. `cargo bench --bench inference_plan`; end-to-end
 //! timing is perfbench's (`python3 perfbench/run.py`).
 
-use adapt_localize::{SkyGrid, SkyPixelization, SkyPosterior};
+use adapt_localize::{ring_cone_geoms, SkyGrid, SkyPixelization, SkyPosterior};
 use adapt_math::sampling::{isotropic_direction, standard_normal};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::mlp::BlockOrder;
-use adapt_nn::{models, CompiledMlp, InferenceScratch, Matrix, Mlp, QuantScratch, QuantizedMlp};
+use adapt_nn::simd::sweep_cone_logls;
+use adapt_nn::{
+    detected_isa, models, CompiledMlp, CompiledQuantMlp, InferenceScratch, KernelIsa, Matrix, Mlp,
+    QuantScratch, QuantizedMlp,
+};
 use adapt_recon::{ComptonRing, RingFeatures};
-use criterion::{criterion_group, criterion_main, Bencher, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -37,35 +42,28 @@ fn trained_background_net(order: BlockOrder) -> Mlp {
     net
 }
 
-/// Run `arm` with dispatch pinned to the portable kernels, then put the
-/// dispatcher back where it was (the hardware ISA, or portable under
-/// `ADAPT_FORCE_PORTABLE=1`).
-fn on_portable_kernels(arm: impl FnOnce()) {
-    let was_forced = adapt_nn::active_isa() != adapt_nn::detected_isa();
-    adapt_nn::set_force_portable(true);
-    arm();
-    adapt_nn::set_force_portable(was_forced);
-}
-
 fn bench_compiled_inference(c: &mut Criterion) {
     let net = trained_background_net(BlockOrder::BatchNormFirst);
-    let plan = CompiledMlp::compile(&net);
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let batch = Matrix::he_uniform(256, 13, &mut rng);
 
     let mut group = c.benchmark_group("background_net_256_rings");
     group.bench_function("mlp_predict", |b| b.iter(|| black_box(net.predict(&batch))));
-    let mut compiled = |b: &mut Bencher| {
-        let mut scratch = InferenceScratch::new();
-        b.iter(|| {
-            let out = plan.forward_batch(&batch, &mut scratch);
-            black_box(out[0])
-        })
-    };
-    group.bench_function("compiled_forward_batch", &mut compiled);
-    on_portable_kernels(|| {
-        group.bench_function("compiled_forward_batch_portable", &mut compiled);
-    });
+    for (name, plan) in [
+        ("compiled_forward_batch", CompiledMlp::compile(&net)),
+        (
+            "compiled_forward_batch_portable",
+            CompiledMlp::compile_on(&net, KernelIsa::Portable),
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            let mut scratch = InferenceScratch::new();
+            b.iter(|| {
+                let out = plan.forward_batch(&batch, &mut scratch);
+                black_box(out[0])
+            })
+        });
+    }
     group.finish();
 }
 
@@ -75,7 +73,6 @@ fn bench_int8_inference(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(40);
     let calib = Matrix::he_uniform(256, 13, &mut rng);
     let qnet = QuantizedMlp::quantize(&net, &calib);
-    let plan = qnet.plan();
     let mut rng = ChaCha8Rng::seed_from_u64(41);
     let batch = Matrix::he_uniform(256, 13, &mut rng);
     let rows: Vec<Vec<f64>> = (0..256).map(|i| batch.row(i).to_vec()).collect();
@@ -90,17 +87,19 @@ fn bench_int8_inference(c: &mut Criterion) {
             )
         })
     });
-    let mut compiled = |b: &mut Bencher| {
-        let mut scratch = QuantScratch::new();
-        b.iter(|| {
-            let out = plan.forward_batch(&batch, &mut scratch);
-            black_box(out[0])
-        })
-    };
-    group.bench_function("compiled_forward_batch", &mut compiled);
-    on_portable_kernels(|| {
-        group.bench_function("compiled_forward_batch_portable", &mut compiled);
-    });
+    let portable = CompiledQuantMlp::compile_on(&qnet, KernelIsa::Portable);
+    for (name, plan) in [
+        ("compiled_forward_batch", qnet.plan()),
+        ("compiled_forward_batch_portable", &portable),
+    ] {
+        group.bench_function(name, |b| {
+            let mut scratch = QuantScratch::new();
+            b.iter(|| {
+                let out = plan.forward_batch(&batch, &mut scratch);
+                black_box(out[0])
+            })
+        });
+    }
     group.finish();
 }
 
@@ -127,14 +126,21 @@ fn bench_skymap(c: &mut Criterion) {
     let rings = skymap_rings(600, 42);
     let grid = SkyGrid::new(SkyPixelization::Raster, 12_000);
 
+    let geoms = ring_cone_geoms(&rings, 3.0);
+    let centers = grid.centers();
+
     let mut group = c.benchmark_group("skymap_12k_pixels_600_rings");
     group.sample_size(10);
-    let mut flat =
-        |b: &mut Bencher| b.iter(|| black_box(SkyPosterior::flat(grid.clone(), &rings, 3.0, 1.0)));
-    group.bench_function("flat_sweep", &mut flat);
-    on_portable_kernels(|| {
-        group.bench_function("flat_sweep_portable", &mut flat);
-    });
+    // the joint log-likelihood of every pixel, as `SkyPosterior::flat`
+    // sweeps it at floor 3σ
+    for (name, isa) in [
+        ("flat_sweep", detected_isa()),
+        ("flat_sweep_portable", KernelIsa::Portable),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(sweep_cone_logls(&geoms, &centers, -4.5, isa)))
+        });
+    }
     group.bench_function("coarse_to_fine", |b| {
         b.iter(|| {
             black_box(SkyPosterior::adaptive(

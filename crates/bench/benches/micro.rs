@@ -46,9 +46,9 @@ fn bench_inference(c: &mut Criterion) {
     c.bench_function("background_net_fp32_597_rings", |b| {
         b.iter(|| black_box(fp32.predict(&batch)))
     });
-    // the compiled plan the localizer runs, on the dispatched ISA's arm
+    // the compiled plan the localizer runs, on the detected rung's arm
     let plan = CompiledMlp::compile(&fp32);
-    let label = format!("background_plan_597_rings_{}", adapt_nn::active_isa());
+    let label = format!("background_plan_597_rings_{}", adapt_nn::detected_isa());
     c.bench_function(&label, |b| {
         let mut scratch = InferenceScratch::new();
         b.iter(|| black_box(plan.forward_batch(&batch, &mut scratch)[0]))

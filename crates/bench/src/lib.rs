@@ -339,27 +339,28 @@ pub fn run_train_report(models: &TrainedModels) -> String {
 
 /// Measurement provenance shared by every JSON benchmark report
 /// (`BENCH_matrix.json`, `BENCH_calibration.json`, perfbench results):
-/// which tree, which CPU, and which kernel ISA the dispatcher actually
-/// selected — so a checked-in report can never be mistaken for numbers
+/// which tree, which CPU, and which kernel rung the production kernels
+/// ran on — so a checked-in report can never be mistaken for numbers
 /// from a different machine or fallback path.
 #[derive(serde::Serialize)]
 pub struct EnvReport {
     pub git_rev: String,
     pub cpu_model: String,
-    /// ISA the runtime dispatcher selects on this host.
+    /// The rung production kernels run on this host
+    /// ([`adapt_nn::detected_isa`]).
     pub kernel_isa: String,
     /// CPU features the detector saw (superset of what the kernels use).
     pub isa_features: Vec<String>,
 }
 
 impl EnvReport {
-    /// Capture provenance for this host using the dispatcher's current
-    /// ISA selection (call before any `set_force_portable` games).
+    /// Capture provenance for this host, with the rung production
+    /// kernels run on.
     pub fn capture() -> Self {
         EnvReport {
             git_rev: git_rev(),
             cpu_model: cpu_model(),
-            kernel_isa: adapt_nn::active_isa().to_string(),
+            kernel_isa: adapt_nn::detected_isa().to_string(),
             isa_features: adapt_nn::detected_features()
                 .iter()
                 .map(|s| s.to_string())

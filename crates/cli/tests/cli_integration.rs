@@ -184,6 +184,34 @@ fn crash_hook_flushes_telemetry_and_reports_health() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A live stream whose counter value is a string must fail `adapt top`
+/// with an error naming the field, not render the counter as 0.
+#[test]
+fn top_rejects_a_mistyped_live_number_with_nonzero_exit() {
+    let dir = temp_dir("top_corrupt");
+    let path = dir.join("live.ndjson");
+    std::fs::write(
+        &path,
+        "{\"type\":\"live_meta\",\"schema\":1,\"every_s\":10}\n\
+         {\"type\":\"live_snapshot\",\"t_s\":5,\"final\":true,\"metrics\":[{\"name\":\
+         \"adapt_streams_served_total\",\"labels\":{},\"kind\":\"counter\",\"value\":\"8\"}],\
+         \"health\":[]}\n",
+    )
+    .unwrap();
+    let out = adapt(&["top", "--input", path.to_str().unwrap(), "--once"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a mistyped value must exit nonzero, got {:?}; stdout: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout)
+    );
+    for part in ["line 2", "adapt_streams_served_total", "`value`"] {
+        assert!(stderr.contains(part), "stderr should name {part}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: `--fail-on-slo-breach` turns health breaches into a
 /// nonzero exit, and the `--live-out` stream it leaves behind renders
 /// through `adapt top --once`.

@@ -320,7 +320,7 @@ impl<'a> Pipeline<'a> {
                 let (bkg, thresholds, d_eta): (&dyn BackgroundModel, &ThresholdTable, &Mlp) =
                     match mode {
                         PipelineMode::MlQuantized => (
-                            &self.models.quantized_background,
+                            self.models.quantized_background.plan(),
                             &self.models.thresholds,
                             &self.models.d_eta,
                         ),

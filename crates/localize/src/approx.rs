@@ -17,7 +17,7 @@
 use crate::skymap::ring_cone_geom;
 use adapt_math::rotation::deflect;
 use adapt_math::vec3::UnitVec3;
-use adapt_nn::simd::{active_isa, argmax_cone_logl, KernelIsa};
+use adapt_nn::simd::{argmax_cone_logl, detected_isa, KernelIsa};
 use adapt_recon::ComptonRing;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -65,7 +65,7 @@ pub fn approximate<R: Rng + ?Sized>(
     config: &ApproxConfig,
     rng: &mut R,
 ) -> Option<(UnitVec3, f64)> {
-    approximate_on(rings, config, rng, active_isa())
+    approximate_on(rings, config, rng, detected_isa())
 }
 
 /// [`approximate`] with the argmax screen on `isa`'s arm (every arm gives

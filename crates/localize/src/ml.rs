@@ -18,8 +18,7 @@ use crate::localizer::{BaselineLocalizer, LocalizerConfig};
 use adapt_math::angles::{deg_to_rad, polar_angle_deg};
 use adapt_math::vec3::UnitVec3;
 use adapt_nn::{
-    sigmoid, CompiledMlp, CompiledQuantMlp, FeaturePlanes, InferenceScratch, Matrix, Mlp,
-    QuantScratch, QuantizedMlp, ThresholdTable,
+    sigmoid, CompiledMlp, CompiledQuantMlp, FeaturePlanes, InferenceScratch, Mlp, ThresholdTable,
 };
 use adapt_recon::{ComptonRing, N_STATIC_FEATURES};
 use adapt_telemetry::{
@@ -98,29 +97,14 @@ pub struct MlLocalizeResult {
     pub timings: StageTimings,
 }
 
-/// Anything that can score rings as background: the FP32 network, its
-/// compiled inference plan, the INT8-quantized network (paper Fig. 11),
+/// Anything that can score rings as background: the FP32 network's
+/// compiled plan, the INT8 network's fixed-point plan (paper Fig. 11),
 /// or a test double.
 pub trait BackgroundModel: Sync {
-    /// Raw logits, one per input row.
-    fn logits(&self, x: &Matrix) -> Vec<f64>;
-
-    /// Raw logits written into a caller-owned buffer through a reusable
-    /// scratch arena. The default delegates to [`logits`](Self::logits);
-    /// implementations with a compiled plan override this to stay
-    /// allocation-free after warm-up.
-    fn logits_into(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Vec<f64>) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.logits(x));
-    }
-
-    /// Score selected rows of a feature-major plane set (SoA staging —
-    /// see [`FeaturePlanes`]), with an optional shared trailing input
-    /// (the loop's polar angle). The default gathers the selected rows
-    /// into a row-major matrix and delegates to
-    /// [`logits_into`](Self::logits_into); compiled plans override this
-    /// to consume the planes directly with one fused staging sweep.
+    /// Raw logits of selected rows of a feature-major plane set (SoA
+    /// staging — see [`FeaturePlanes`]), with an optional shared trailing
+    /// input (the loop's polar angle), written into a caller-owned buffer
+    /// through a reusable scratch arena.
     fn logits_select(
         &self,
         planes: &FeaturePlanes,
@@ -128,39 +112,10 @@ pub trait BackgroundModel: Sync {
         append: Option<f64>,
         scratch: &mut InferenceScratch,
         out: &mut Vec<f64>,
-    ) {
-        let d = planes.features() + usize::from(append.is_some());
-        let mut x = Matrix::zeros(active.len(), d);
-        for (r, &i) in active.iter().enumerate() {
-            let row = x.row_mut(r);
-            for (f, cell) in row.iter_mut().enumerate().take(planes.features()) {
-                *cell = planes.plane(f)[i as usize];
-            }
-            if let Some(v) = append {
-                row[d - 1] = v;
-            }
-        }
-        self.logits_into(&x, scratch, out);
-    }
-}
-
-impl BackgroundModel for Mlp {
-    fn logits(&self, x: &Matrix) -> Vec<f64> {
-        let out = self.predict(x);
-        (0..x.rows()).map(|i| out.get(i, 0)).collect()
-    }
+    );
 }
 
 impl BackgroundModel for CompiledMlp {
-    fn logits(&self, x: &Matrix) -> Vec<f64> {
-        self.predict(x).as_slice().to_vec()
-    }
-
-    fn logits_into(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(self.forward_batch(x, scratch));
-    }
-
     fn logits_select(
         &self,
         planes: &FeaturePlanes,
@@ -174,39 +129,7 @@ impl BackgroundModel for CompiledMlp {
     }
 }
 
-impl BackgroundModel for QuantizedMlp {
-    fn logits(&self, x: &Matrix) -> Vec<f64> {
-        self.forward(x)
-    }
-
-    fn logits_into(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Vec<f64>) {
-        // run the cached fixed-point plan through the shared scratch
-        self.plan().logits_into(x, scratch, out);
-    }
-
-    fn logits_select(
-        &self,
-        planes: &FeaturePlanes,
-        active: &[u32],
-        append: Option<f64>,
-        scratch: &mut InferenceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.plan()
-            .logits_select(planes, active, append, scratch, out);
-    }
-}
-
 impl BackgroundModel for CompiledQuantMlp {
-    fn logits(&self, x: &Matrix) -> Vec<f64> {
-        self.forward_batch(x, &mut QuantScratch::new()).to_vec()
-    }
-
-    fn logits_into(&self, x: &Matrix, scratch: &mut InferenceScratch, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(self.forward_batch(x, &mut scratch.quant));
-    }
-
     fn logits_select(
         &self,
         planes: &FeaturePlanes,
@@ -256,10 +179,10 @@ impl InferenceWorkspace {
     }
 }
 
-/// The ML localizer. Holds the trained networks by reference so one set of
-/// weights can serve many parallel trials; the dEta network (and any
-/// background model that exposes a plan) is compiled once per localizer
-/// into a BN-folded flat-buffer plan the hot loop runs allocation-free.
+/// The ML localizer. Holds the background plan and the trained dEta
+/// network by reference so one set of weights can serve many parallel
+/// trials; the dEta network is compiled once per localizer into a
+/// BN-folded flat-buffer plan the hot loop runs allocation-free.
 pub struct MlLocalizer<'a> {
     background_net: &'a dyn BackgroundModel,
     thresholds: &'a ThresholdTable,
@@ -539,6 +462,7 @@ mod tests {
     use super::*;
     use adapt_math::angles::angular_separation;
     use adapt_nn::mlp::BlockOrder;
+    use adapt_nn::{Matrix, QuantizedMlp};
     use adapt_recon::RingFeatures;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -548,9 +472,10 @@ mod tests {
     }
 
     /// A "perfect oracle" background net: we build rings whose first
-    /// feature encodes the label, then train a tiny net to read it. This
-    /// tests the loop mechanics independently of real training quality.
-    fn oracle_parts() -> (Mlp, ThresholdTable, Mlp) {
+    /// feature encodes the label, then train a tiny net to read it and
+    /// compile it. This tests the loop mechanics independently of real
+    /// training quality.
+    fn oracle_parts() -> (CompiledMlp, ThresholdTable, Mlp) {
         let mut r = rng();
         let mut bkg = Mlp::new(13, &[8], BlockOrder::BatchNormFirst, &mut r);
         // train on synthetic data: label = 1 if feature0 > 0.5
@@ -595,7 +520,11 @@ mod tests {
             objective: adapt_nn::Objective::MeanSquaredError,
         };
         adapt_nn::train(&mut deta, &ds2, &ds2, &cfg2, &mut r);
-        (bkg, ThresholdTable::uniform(0.5), deta)
+        (
+            CompiledMlp::compile(&bkg),
+            ThresholdTable::uniform(0.5),
+            deta,
+        )
     }
 
     fn make_rings(source: UnitVec3, n_src: usize, n_bkg: usize, seed: u64) -> Vec<ComptonRing> {
@@ -678,33 +607,9 @@ mod tests {
     }
 
     #[test]
-    fn compiled_background_matches_mlp_path() {
-        let (bkg, thresholds, deta) = oracle_parts();
-        let source = UnitVec3::from_spherical(0.5, 0.7);
-        let rings = make_rings(source, 60, 150, 8);
-        let cfg = MlPipelineConfig::default();
-        let via_mlp = MlLocalizer::new(&bkg, &thresholds, &deta, cfg.clone());
-        let compiled = adapt_nn::CompiledMlp::compile(&bkg);
-        let via_plan = MlLocalizer::new(&compiled, &thresholds, &deta, cfg);
-        let a = via_mlp.localize(&rings, &mut rng()).unwrap();
-        let b = via_plan.localize(&rings, &mut rng()).unwrap();
-        // the compiled plan re-associates floating-point sums, which the
-        // iterative refinement amplifies to ~1e-6 degrees; classification
-        // decisions must still agree exactly on this well-separated problem
-        assert_eq!(a.surviving_rings, b.surviving_rings);
-        assert_eq!(a.ml_iterations, b.ml_iterations);
-        assert!(
-            angular_separation(a.direction, b.direction) < 1e-3,
-            "directions diverged by {} deg",
-            angular_separation(a.direction, b.direction)
-        );
-    }
-
-    #[test]
     fn workspace_reuse_is_transparent() {
         let (bkg, thresholds, deta) = oracle_parts();
-        let compiled = adapt_nn::CompiledMlp::compile(&bkg);
-        let ml = MlLocalizer::new(&compiled, &thresholds, &deta, MlPipelineConfig::default());
+        let ml = MlLocalizer::new(&bkg, &thresholds, &deta, MlPipelineConfig::default());
         let source = UnitVec3::from_spherical(0.4, -1.1);
         let mut ws = InferenceWorkspace::new();
         // localize bursts of shrinking then growing size through ONE
@@ -776,16 +681,17 @@ mod tests {
         adapt_nn::train(&mut bkg, &ds, &ds, &cfg_train, &mut r);
         let calib = Matrix::he_uniform(256, 13, &mut r);
         let quant = QuantizedMlp::quantize(&bkg, &calib);
-        let plan = adapt_nn::CompiledQuantMlp::compile(&quant);
+        let plan = CompiledQuantMlp::compile(&quant);
         let source = UnitVec3::from_spherical(0.5, 0.7);
         let rings = make_rings(source, 60, 150, 8);
         let cfg = MlPipelineConfig::default();
-        // QuantizedMlp (OnceLock-cached plan) and an explicitly compiled
-        // plan are the same integer arithmetic — localizations agree
-        // exactly, including every classification decision
-        let via_net = MlLocalizer::new(&quant, &thresholds, &deta, cfg.clone());
+        // the network's cached plan (the one `Pipeline` localizes with)
+        // and an explicitly compiled plan are the same integer
+        // arithmetic — localizations agree exactly, including every
+        // classification decision
+        let via_cache = MlLocalizer::new(quant.plan(), &thresholds, &deta, cfg.clone());
         let via_plan = MlLocalizer::new(&plan, &thresholds, &deta, cfg);
-        let a = via_net.localize(&rings, &mut rng()).unwrap();
+        let a = via_cache.localize(&rings, &mut rng()).unwrap();
         let b = via_plan.localize(&rings, &mut rng()).unwrap();
         assert_eq!(a.surviving_rings, b.surviving_rings);
         assert_eq!(a.ml_iterations, b.ml_iterations);

@@ -11,7 +11,7 @@
 use crate::likelihood::cone_geometry;
 use crate::pixelization::{SkyGrid, SkyPixelization};
 use adapt_math::vec3::UnitVec3;
-use adapt_nn::simd::{sweep_cone_logls, ConeGeom};
+use adapt_nn::simd::{detected_isa, sweep_cone_logls, ConeGeom, KernelIsa};
 use adapt_recon::ComptonRing;
 use adapt_telemetry::{Recorder, Stage};
 use rayon::prelude::*;
@@ -207,14 +207,14 @@ fn checked_cones(rings: &[ComptonRing], floor_z: f64, temperature: f64) -> Vec<C
     ring_cone_geoms(rings, floor_z)
 }
 
-/// Raw joint log-likelihood of every pixel, swept flat — the
-/// O(pixels × rings) reference.
-fn flat_logls(grid: &SkyGrid, geoms: &[ConeGeom], floor_z: f64) -> Vec<f64> {
-    sweep_cone_logls(geoms, &grid.centers(), floor_const(floor_z))
+/// Raw joint log-likelihood of every pixel, swept flat on `isa`'s arm
+/// — the O(pixels × rings) reference.
+fn flat_logls(grid: &SkyGrid, geoms: &[ConeGeom], floor_z: f64, isa: KernelIsa) -> Vec<f64> {
+    sweep_cone_logls(geoms, &grid.centers(), floor_const(floor_z), isa)
 }
 
 /// Coarse-to-fine raw log-likelihoods, plus the ascending indices of
-/// the pixels that were refined.
+/// the pixels that were refined (swept on `isa`'s arm).
 ///
 /// A coarse pass scores every coarse cell exactly at its center and
 /// bounds the joint log-likelihood from above over the cell's
@@ -230,6 +230,7 @@ fn adaptive_logls(
     geoms: &[ConeGeom],
     floor_z: f64,
     temperature: f64,
+    isa: KernelIsa,
 ) -> (Vec<f64>, Vec<usize>) {
     let floor_const = floor_const(floor_z);
     let coarse = grid.coarse();
@@ -265,7 +266,7 @@ fn adaptive_logls(
         }
     }
     let refine_centers: Vec<UnitVec3> = refine_idx.par_iter().map(|&i| grid.center(i)).collect();
-    let refined = sweep_cone_logls(geoms, &refine_centers, floor_const);
+    let refined = sweep_cone_logls(geoms, &refine_centers, floor_const, isa);
     for (&i, &l) in refine_idx.iter().zip(&refined) {
         logls[i] = l;
     }
@@ -304,8 +305,19 @@ impl SkyPosterior {
     /// coarse-to-fine pass is checked against. The joint log-likelihood
     /// is divided by `temperature` before exponentiation.
     pub fn flat(grid: SkyGrid, rings: &[ComptonRing], floor_z: f64, temperature: f64) -> Self {
+        Self::flat_on(grid, rings, floor_z, temperature, detected_isa())
+    }
+
+    /// [`flat`](Self::flat), swept on `isa`'s arm.
+    fn flat_on(
+        grid: SkyGrid,
+        rings: &[ComptonRing],
+        floor_z: f64,
+        temperature: f64,
+        isa: KernelIsa,
+    ) -> Self {
         let geoms = checked_cones(rings, floor_z, temperature);
-        let logls = flat_logls(&grid, &geoms, floor_z);
+        let logls = flat_logls(&grid, &geoms, floor_z, isa);
         Self::from_logls(grid, logls, temperature)
     }
 
@@ -326,12 +338,24 @@ impl SkyPosterior {
         temperature: f64,
         recorder: &dyn Recorder,
     ) -> Self {
+        Self::adaptive_on(grid, rings, floor_z, temperature, recorder, detected_isa())
+    }
+
+    /// [`adaptive`](Self::adaptive), swept on `isa`'s arm.
+    fn adaptive_on(
+        grid: SkyGrid,
+        rings: &[ComptonRing],
+        floor_z: f64,
+        temperature: f64,
+        recorder: &dyn Recorder,
+        isa: KernelIsa,
+    ) -> Self {
         let t0 = std::time::Instant::now();
         let geoms = checked_cones(rings, floor_z, temperature);
         let logls = if grid.len() < MIN_ADAPTIVE_PIXELS {
-            flat_logls(&grid, &geoms, floor_z)
+            flat_logls(&grid, &geoms, floor_z, isa)
         } else {
-            adaptive_logls(&grid, &geoms, floor_z, temperature).0
+            adaptive_logls(&grid, &geoms, floor_z, temperature, isa).0
         };
         let map = Self::from_logls(grid, logls, temperature);
         recorder.duration(Stage::SkymapRasterize, t0.elapsed());
@@ -455,6 +479,7 @@ impl SkyPosterior {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapt_nn::simd::supported_isas;
     use adapt_recon::RingFeatures;
     use adapt_telemetry::FlightRecorder;
     use rand::{Rng, SeedableRng};
@@ -642,8 +667,9 @@ mod tests {
         for p in SkyPixelization::ALL {
             for temperature in [1.0, 3.0] {
                 let grid = grid(p, 12_000);
-                let flat = flat_logls(&grid, &geoms, floor_z);
-                let (adaptive, refined) = adaptive_logls(&grid, &geoms, floor_z, temperature);
+                let isa = detected_isa();
+                let flat = flat_logls(&grid, &geoms, floor_z, isa);
+                let (adaptive, refined) = adaptive_logls(&grid, &geoms, floor_z, temperature, isa);
                 assert!(!refined.is_empty(), "{}: nothing refined", p.name());
                 assert!(refined.len() < flat.len(), "{}: all refined", p.name());
                 assert!(
@@ -751,19 +777,18 @@ mod tests {
         }
     }
 
-    /// Run `f` once on the portable kernels and once on the detected
-    /// ISA, then restore the env-derived default for the rest of the
-    /// binary.
-    fn under_both_dispatch_modes<T>(f: impl Fn() -> T) -> (T, T) {
-        adapt_nn::simd::set_force_portable(true);
-        let portable = f();
-        adapt_nn::simd::set_force_portable(false);
-        let vector = f();
-        let env_forced = std::env::var("ADAPT_FORCE_PORTABLE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        adapt_nn::simd::set_force_portable(env_forced);
-        (portable, vector)
+    /// The flat and the coarse-to-fine posterior of `rings`, both swept
+    /// on `isa`'s arm.
+    fn flat_and_adaptive_on(
+        grid: SkyGrid,
+        rings: &[ComptonRing],
+        isa: KernelIsa,
+    ) -> (SkyPosterior, SkyPosterior) {
+        let noop = adapt_telemetry::noop();
+        (
+            SkyPosterior::flat_on(grid.clone(), rings, 3.0, 1.0, isa),
+            SkyPosterior::adaptive_on(grid, rings, 3.0, 1.0, noop, isa),
+        )
     }
 
     #[test]
@@ -771,41 +796,66 @@ mod tests {
         let source = UnitVec3::from_spherical(0.35, 0.8);
         let rings = rings_through(source, 40, 0.03, 21);
         for p in SkyPixelization::ALL {
-            let (portable, vector) = under_both_dispatch_modes(|| {
-                (
-                    SkyPosterior::flat(grid(p, 3000), &rings, 3.0, 1.0),
-                    adaptive(grid(p, 8000), &rings, 1.0),
-                )
-            });
+            let noop = adapt_telemetry::noop();
+            let flat = |isa| SkyPosterior::flat_on(grid(p, 3000), &rings, 3.0, 1.0, isa);
+            let adaptive =
+                |isa| SkyPosterior::adaptive_on(grid(p, 8000), &rings, 3.0, 1.0, noop, isa);
+            let (flat_p, adaptive_p) = (flat(KernelIsa::Portable), adaptive(KernelIsa::Portable));
             let name = p.name();
-            assert_eq!(
-                portable.0.probabilities(),
-                vector.0.probabilities(),
-                "{name} flat"
-            );
-            assert_eq!(
-                portable.1.probabilities(),
-                vector.1.probabilities(),
-                "{name} adaptive"
-            );
+            for isa in supported_isas() {
+                assert_eq!(
+                    flat_p.probabilities(),
+                    flat(isa).probabilities(),
+                    "{name} flat {isa}"
+                );
+                assert_eq!(
+                    adaptive_p.probabilities(),
+                    adaptive(isa).probabilities(),
+                    "{name} adaptive {isa}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        #[test]
+        fn vectorized_sweep_bit_identical_to_portable_sweep(
+            polar in 0.1f64..1.2,
+            az in -3.0f64..3.0,
+            n in 20usize..70,
+            seed in 0u64..100,
+        ) {
+            // the SIMD cone-distance sweep preserves per-pixel ring-order
+            // summation, so flat AND adaptive maps must match the
+            // portable kernel bit for bit — not just to tolerance
+            let source = UnitVec3::from_spherical(polar, az);
+            let rings = rings_through(source, n, 0.02, seed);
+            let grid = grid(SkyPixelization::Raster, 6_000);
+            let (flat_p, adap_p) = flat_and_adaptive_on(grid.clone(), &rings, KernelIsa::Portable);
+            for isa in supported_isas() {
+                let (flat_v, adap_v) = flat_and_adaptive_on(grid.clone(), &rings, isa);
+                for (a, b) in flat_v.probabilities().iter().zip(flat_p.probabilities()) {
+                    proptest::prop_assert_eq!(a, b, "{} flat sweep diverged", isa);
+                }
+                for (a, b) in adap_v.probabilities().iter().zip(adap_p.probabilities()) {
+                    proptest::prop_assert_eq!(a, b, "{} adaptive sweep diverged", isa);
+                }
+            }
         }
     }
 
     #[test]
-    fn adaptive_matches_flat_posterior_under_both_dispatch_modes() {
+    fn adaptive_matches_flat_posterior_on_every_isa() {
         // The flat/adaptive agreement holds on the portable kernels as
-        // well as on the detected ISA, not just on whichever one the
-        // host dispatches to.
+        // well as on every vector rung the host runs, not just on the
+        // one production dispatches to.
         let source = UnitVec3::from_spherical(0.8, 5.5);
         let rings = rings_through(source, 30, 0.025, 29);
         for p in SkyPixelization::ALL {
-            let (portable, vector) = under_both_dispatch_modes(|| {
-                (
-                    SkyPosterior::flat(grid(p, 12_000), &rings, 3.0, 1.0),
-                    adaptive(grid(p, 12_000), &rings, 1.0),
-                )
-            });
-            for (flat, adaptive) in [portable, vector] {
+            for isa in supported_isas() {
+                let (flat, adaptive) = flat_and_adaptive_on(grid(p, 12_000), &rings, isa);
                 // mode compared by probability: normalization totals differ
                 let p_flat = flat.probabilities();
                 let flat_peak = p_flat.iter().cloned().fold(0.0f64, f64::max);

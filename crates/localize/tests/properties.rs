@@ -163,36 +163,6 @@ proptest! {
     }
 
     #[test]
-    fn vectorized_sweep_bit_identical_to_portable_sweep(
-        polar in 0.1f64..1.2,
-        az in -3.0f64..3.0,
-        n in 20usize..70,
-        seed in 0u64..100,
-    ) {
-        // the SIMD cone-distance sweep preserves per-pixel ring-order
-        // summation, so flat AND adaptive maps must match the forced-
-        // portable kernel bit for bit — not just to tolerance
-        let source = UnitVec3::from_spherical(polar, az);
-        let rings = rings_through(source, n, 0.02, seed);
-        let grid = raster(6_000);
-        adapt_nn::set_force_portable(false);
-        let flat_v = flat(grid.clone(), &rings);
-        let adap_v = adaptive(grid.clone(), &rings);
-        adapt_nn::set_force_portable(true);
-        let flat_p = flat(grid.clone(), &rings);
-        let adap_p = adaptive(grid, &rings);
-        adapt_nn::set_force_portable(
-            std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
-        );
-        for (a, b) in flat_v.probabilities().iter().zip(flat_p.probabilities()) {
-            prop_assert_eq!(a, b, "flat sweep diverged");
-        }
-        for (a, b) in adap_v.probabilities().iter().zip(adap_p.probabilities()) {
-            prop_assert_eq!(a, b, "adaptive sweep diverged");
-        }
-    }
-
-    #[test]
     fn uncertainty_estimate_positive_and_finite(
         polar in 0.1f64..1.3,
         n in 20usize..150,

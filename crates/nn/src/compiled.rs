@@ -18,7 +18,7 @@
 //!   fused into the accumulator spill: 4×4 tiles on the portable and
 //!   AVX2 paths, 12-row × 16-output tiles on AVX-512;
 //! * the SIMD weights are packed once, at compile time, for the ISA the
-//!   plan runs on (8-lane blocks on AVX-512 hosts, 4-lane otherwise).
+//!   plan runs on (8-lane blocks for the AVX-512 rung, 4-lane otherwise).
 //!
 //! Parity with [`Mlp::predict`] (inference-mode BatchNorm statistics) is
 //! exact up to floating-point re-association and is locked down by unit
@@ -59,9 +59,8 @@ pub struct CompiledMlp {
     /// concatenated (see [`simd::pack_f64_blocks`]), in the block width
     /// of `isa`'s arm.
     packed: Vec<f64>,
-    /// The vector ISA the packed weights serve: the host's detected rung.
-    /// The plan runs on it, or on the portable kernel when dispatch is
-    /// forced portable.
+    /// The rung the plan was compiled for and runs on; the packed weights
+    /// are in its block width.
     isa: KernelIsa,
     stages: Vec<PlanStage>,
     input_dim: usize,
@@ -111,10 +110,20 @@ impl CompiledMlp {
     /// Compile a trained network into a fused inference plan. The plan
     /// captures the network's *inference-mode* behaviour (running
     /// BatchNorm statistics); later training of the source `Mlp` does not
-    /// update the plan — recompile instead.
+    /// update the plan — recompile instead. The plan runs on the host's
+    /// detected rung ([`simd::detected_isa`]).
     pub fn compile(mlp: &Mlp) -> Self {
+        Self::compile_on(mlp, simd::detected_isa())
+    }
+
+    /// [`compile`](Self::compile) for the kernel arm of rung `isa`: the
+    /// parity tests and benches compare rungs side by side this way.
+    ///
+    /// # Panics
+    /// If this host cannot run `isa` ([`KernelIsa::is_supported`]).
+    pub fn compile_on(mlp: &Mlp, isa: KernelIsa) -> Self {
+        assert!(isa.is_supported(), "this host cannot run {isa} kernels");
         let fused = fuse_stages(mlp);
-        let isa = simd::detected_isa();
         let lanes = simd::f64_block_lanes(isa);
         let mut buf = Vec::new();
         let mut packed = Vec::new();
@@ -269,11 +278,6 @@ impl CompiledMlp {
     /// every stage, ping-ponging between `a` and `b` and writing the final
     /// stage into `out`.
     fn run_rows(&self, x: &[f64], batch: usize, a: &mut [f64], b: &mut [f64], out: &mut [f64]) {
-        let isa = if simd::active_isa() == KernelIsa::Portable {
-            KernelIsa::Portable
-        } else {
-            self.isa
-        };
         let last = self.stages.len() - 1;
         let mut src_is_a = false; // stage 0 reads from `x`
         for (s, stage) in self.stages.iter().enumerate() {
@@ -292,7 +296,7 @@ impl CompiledMlp {
             run_plan_stage(
                 &src[..batch * stage.in_dim],
                 batch,
-                isa,
+                self.isa,
                 stage,
                 w,
                 bias,
@@ -304,7 +308,7 @@ impl CompiledMlp {
     }
 }
 
-/// Dispatch one float stage to the active ISA kernel. The vector paths
+/// Dispatch one float stage to rung `isa`'s kernel. The vector paths
 /// contract multiply-adds to FMA — allowed by the plan's rounding
 /// contract (parity with `Mlp::predict` is tolerance-, not bit-, based);
 /// the AVX-512 arm is bit-identical to the AVX2 arm. Portable dispatch
@@ -323,8 +327,9 @@ fn run_plan_stage(
 ) {
     #[cfg(target_arch = "x86_64")]
     if isa == KernelIsa::Avx512 {
-        // SAFETY: AVX-512F verified at runtime; slices sliced to the
-        // stage's exact shapes by the caller, `packed` in 8-lane blocks.
+        // SAFETY: `compile_on` asserted the host runs `isa`; slices cut
+        // to the stage's exact shapes by the caller, `packed` in 8-lane
+        // blocks.
         unsafe {
             simd::gemm_f64_avx512(
                 x,
@@ -597,29 +602,24 @@ mod tests {
 
     #[test]
     fn simd_kernel_matches_portable_within_fma_tolerance() {
-        // the vector path may contract mul+add to FMA, so parity is
+        // the vector arms may contract mul+add to FMA, so parity is
         // tolerance-based (each op differs by ≤ 1 ulp from the scalar
-        // chain); shapes cover full 4-blocks, tail outputs and tail rows
+        // chain); shapes cover full 4- and 8-blocks, half blocks, tail
+        // outputs and tail rows, on every rung the host runs
         for (seed, hidden) in [(20u64, vec![32usize, 16]), (21, vec![10, 6]), (22, vec![3])] {
             let m = trained_mlp(13, &hidden, BlockOrder::BatchNormFirst, seed);
-            let plan = CompiledMlp::compile(&m);
+            let portable = CompiledMlp::compile_on(&m, KernelIsa::Portable);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
-            let _guard = simd::test_isa_lock();
             for rows in [1usize, 4, 5, 37] {
                 let x = Matrix::he_uniform(rows, 13, &mut rng);
-                simd::set_force_portable(false);
-                let vec_out = plan
-                    .forward_batch(&x, &mut InferenceScratch::new())
-                    .to_vec();
-                simd::set_force_portable(true);
-                let ref_out = plan
-                    .forward_batch(&x, &mut InferenceScratch::new())
-                    .to_vec();
-                for (v, p) in vec_out.iter().zip(&ref_out) {
-                    assert!((v - p).abs() < 1e-9, "simd {v} vs portable {p}");
+                let ref_out = portable.predict(&x);
+                for isa in simd::supported_isas() {
+                    let vec_out = CompiledMlp::compile_on(&m, isa).predict(&x);
+                    for (v, p) in vec_out.as_slice().iter().zip(ref_out.as_slice()) {
+                        assert!((v - p).abs() < 1e-9, "{isa} {v} vs portable {p}");
+                    }
                 }
             }
-            simd::reset_force_portable();
         }
     }
 

@@ -62,9 +62,7 @@ pub use quant::{
 };
 pub use quant_plan::{CompiledQuantMlp, QuantScratch, Requant};
 pub use search::{random_search, random_search_tracked, Candidate, SearchResult, SearchSpace};
-pub use simd::{
-    active_isa, detected_features, detected_isa, set_force_portable, supported_isas, KernelIsa,
-};
+pub use simd::{detected_features, detected_isa, supported_isas, KernelIsa};
 pub use soa::FeaturePlanes;
 pub use tensor::Matrix;
 pub use threshold::{ThresholdTable, N_POLAR_BINS};

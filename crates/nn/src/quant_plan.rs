@@ -156,6 +156,8 @@ pub struct CompiledQuantMlp {
     rq_mult: Vec<i64>,
     /// `requants` shifts widened to i64 for vector loads.
     rq_shift: Vec<i64>,
+    /// The rung the plan was compiled for and runs on.
+    isa: KernelIsa,
     stages: Vec<QuantStage>,
     /// Optional per-feature float input normalization `(scale, shift)`,
     /// applied before quantization (13 multiply-adds — input conditioning,
@@ -202,8 +204,19 @@ impl QuantScratch {
 }
 
 impl CompiledQuantMlp {
-    /// Compile a quantized network into a fixed-point inference plan.
+    /// Compile a quantized network into a fixed-point inference plan that
+    /// runs on the host's detected rung ([`simd::detected_isa`]).
     pub fn compile(net: &QuantizedMlp) -> Self {
+        Self::compile_on(net, simd::detected_isa())
+    }
+
+    /// [`compile`](Self::compile) for the kernel arm of rung `isa`: the
+    /// parity tests and benches compare rungs side by side this way.
+    ///
+    /// # Panics
+    /// If this host cannot run `isa` ([`KernelIsa::is_supported`]).
+    pub fn compile_on(net: &QuantizedMlp, isa: KernelIsa) -> Self {
+        assert!(isa.is_supported(), "this host cannot run {isa} kernels");
         assert!(!net.layers.is_empty(), "cannot compile an empty network");
         assert_eq!(
             net.layers.last().unwrap().out_dim,
@@ -266,6 +279,7 @@ impl CompiledQuantMlp {
             packed,
             rq_mult,
             rq_shift,
+            isa,
             stages,
             input_norm: net.input_norm.clone(),
             input_params: net.layers[0].input_params,
@@ -439,7 +453,7 @@ impl CompiledQuantMlp {
     /// measured threshold; results are bit-identical either way (integer
     /// arithmetic, row-independent).
     fn run_stages(&self, batch: usize, a: &mut [i8], b: &mut [i8]) {
-        let isa = simd::active_isa();
+        let isa = self.isa;
         let mut src_is_a = true;
         for stage in &self.stages {
             let w = &self.weights[stage.w_off..stage.w_off + stage.out_dim * stage.in_dim];
@@ -482,7 +496,7 @@ impl CompiledQuantMlp {
     }
 }
 
-/// Dispatch one stage's row block to the active ISA kernel. Stages the
+/// Dispatch one stage's row block to rung `isa`'s kernel. Stages the
 /// vector requantizer cannot serve (`simd_ok == false`) and portable
 /// dispatch both land on [`gemm_i8`], the specification kernel; the
 /// vector paths are bit-identical to it (see [`crate::simd`]).
@@ -497,8 +511,8 @@ fn run_stage_rows(
 ) {
     #[cfg(target_arch = "x86_64")]
     if isa.has_avx2() && stage.simd_ok {
-        // SAFETY: dispatch reached an AVX2 rung only via runtime detection, and
-        // the kernel struct was sliced to the stage's exact shapes above.
+        // SAFETY: `compile_on` asserted the host runs `isa`, and the
+        // kernel struct was sliced to the stage's exact shapes above.
         unsafe { simd::gemm_i8_avx2(x, rows, kern, out) };
         return;
     }
@@ -722,31 +736,57 @@ mod tests {
         }
     }
 
+    /// Round every weight and activation scale of `net` to a power of
+    /// two, so each requant multiplier is exactly `2^k` and one
+    /// accumulator in `2^-k` lands on a rounding tie.
+    fn round_scales_to_powers_of_two(net: &mut QuantizedMlp) {
+        let pow2 = |s: f64| s.log2().round().exp2();
+        for layer in &mut net.layers {
+            layer.input_params.scale = pow2(layer.input_params.scale);
+            layer.output_params.scale = pow2(layer.output_params.scale);
+            for s in &mut layer.weight_scales {
+                *s = pow2(*s);
+            }
+        }
+    }
+
     #[test]
     fn simd_kernel_bit_identical_to_portable() {
         // every shape here exercises a different kernel corner: full
-        // 8-output blocks, tail outputs, odd input widths, tail rows
-        for (seed, hidden) in [
+        // 8-output blocks, tail outputs, odd input widths, tail rows;
+        // trained scales almost never round on a tie, so each shape also
+        // runs with power-of-two scales, where ties are common
+        for ((seed, hidden), ties) in [
             (10u64, vec![16usize, 8]),
             (11, vec![24, 9]),  // tail output unit
             (12, vec![8]),      // single hidden stage
             (13, vec![33, 17]), // odd everything
-        ] {
-            let (net, calib) = quantized_net(seed, &hidden);
-            let plan = CompiledQuantMlp::compile(&net);
-            let _guard = simd::test_isa_lock();
+        ]
+        .into_iter()
+        .flat_map(|case| [(case.clone(), false), (case, true)])
+        {
+            let (mut net, calib) = quantized_net(seed, &hidden);
+            if ties {
+                round_scales_to_powers_of_two(&mut net);
+            }
+            let portable = CompiledQuantMlp::compile_on(&net, KernelIsa::Portable);
             for rows in [1usize, 3, 4, 5, 16, 31, 128] {
                 let mut x = Matrix::zeros(rows, 7);
                 for r in 0..rows {
                     x.row_mut(r).copy_from_slice(calib.row((r * 7) % 128));
                 }
-                simd::set_force_portable(false);
-                let vec_out = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
-                simd::set_force_portable(true);
-                let ref_out = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
-                assert_eq!(vec_out, ref_out, "hidden {hidden:?}, rows {rows}");
+                let ref_out = portable
+                    .forward_batch(&x, &mut QuantScratch::new())
+                    .to_vec();
+                for isa in simd::supported_isas() {
+                    let plan = CompiledQuantMlp::compile_on(&net, isa);
+                    let vec_out = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
+                    assert_eq!(
+                        vec_out, ref_out,
+                        "{isa}, hidden {hidden:?}, ties {ties}, rows {rows}"
+                    );
+                }
             }
-            simd::reset_force_portable();
         }
     }
 

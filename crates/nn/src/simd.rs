@@ -6,12 +6,12 @@
 //! is associative, and the vector requantization replays `rne_shr`
 //! exactly) or results within the documented rounding contract (the f64
 //! plan may contract multiply-adds into FMAs, which the parity tests
-//! already tolerate). Dispatch is decided once per process, on a ladder:
+//! already tolerate). The host's rung is detected at runtime, on a ladder:
 //!
 //! * x86-64 with AVX-512F (and AVX2+FMA) → [`KernelIsa::Avx512`];
 //! * x86-64 with AVX2 → [`KernelIsa::Avx2`] (`is_x86_feature_detected!`);
 //! * aarch64 → [`KernelIsa::Neon`] (baseline NEON is mandatory there);
-//! * anything else, or `ADAPT_FORCE_PORTABLE=1`, → [`KernelIsa::Portable`].
+//! * anything else → [`KernelIsa::Portable`].
 //!
 //! Two kernels have an AVX-512 arm: the f64 plan GEMM
 //! ([`gemm_f64_avx512`]) and the approximation screen
@@ -21,11 +21,13 @@
 //! arm on both rungs: dispatch sites test [`KernelIsa::has_avx2`], never
 //! `== Avx2`.
 //!
-//! The force-portable override exists for two consumers: the CI fallback
-//! job (which builds with `RUSTFLAGS=-Ctarget-cpu=x86-64` and must also
-//! *run* the portable kernels, since codegen flags do not disable runtime
-//! feature detection) and the bench bins, which measure both paths in one
-//! process to emit the per-kernel dispatch report.
+//! The rung is a value, never process state: a compiled plan records the
+//! rung it was compiled for, and the sweep and the screen take theirs as
+//! an argument. Production passes [`detected_isa`]; the parity tests pass
+//! every rung of [`supported_isas`] (portable included) side by side in
+//! one process, and the `_portable` bench arms the portable rung. Each
+//! entry point asserts [`KernelIsa::is_supported`], because running a
+//! vector arm the host lacks is undefined behaviour.
 //!
 //! ## INT8 kernel layout
 //!
@@ -46,7 +48,7 @@
 //! shift), remainder/half compares, tie-to-even adjust — so the i8
 //! outputs are bit-identical to the portable kernel by construction.
 
-/// Which kernel implementation the dispatcher selected for this process.
+/// A rung of the kernel ladder: which arm a plan, sweep or screen runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelIsa {
     /// x86-64 AVX-512F: 8-lane arms for the f64 GEMM and the screen, the
@@ -97,59 +99,7 @@ impl std::fmt::Display for KernelIsa {
     }
 }
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = follow hardware detection, 1 = force portable. Initialized from
-/// the `ADAPT_FORCE_PORTABLE` environment variable on first query;
-/// flippable at runtime by benches that measure both paths. All kernel
-/// pairs are bit-identical (INT8, skymap) or within the documented f64
-/// rounding contract, so a concurrent flip is benign for correctness.
-static FORCE_PORTABLE: AtomicU8 = AtomicU8::new(UNINIT);
-const UNINIT: u8 = 2;
-
-fn force_portable() -> bool {
-    match FORCE_PORTABLE.load(Ordering::Relaxed) {
-        UNINIT => {
-            let forced = std::env::var("ADAPT_FORCE_PORTABLE")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            FORCE_PORTABLE.store(forced as u8, Ordering::Relaxed);
-            forced
-        }
-        v => v == 1,
-    }
-}
-
-/// Override hardware dispatch (benches and the fallback CI job). Pass
-/// `true` to run the portable kernels regardless of CPU features.
-pub fn set_force_portable(force: bool) {
-    FORCE_PORTABLE.store(force as u8, Ordering::Relaxed);
-}
-
-/// Serializes tests that flip the process-global portable override so
-/// they cannot observe each other's toggles.
-#[cfg(test)]
-pub(crate) fn test_isa_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Drop any runtime override and fall back to the `ADAPT_FORCE_PORTABLE`
-/// environment default on the next query (test cleanup).
-#[cfg(test)]
-pub(crate) fn reset_force_portable() {
-    FORCE_PORTABLE.store(UNINIT, Ordering::Relaxed);
-}
-
-/// The ISA the kernels will run on for the current configuration.
-pub fn active_isa() -> KernelIsa {
-    if force_portable() {
-        return KernelIsa::Portable;
-    }
-    detected_isa()
-}
-
-/// The best ISA the hardware supports, ignoring any portable override.
+/// The best ISA the hardware supports: the rung production code runs.
 pub fn detected_isa() -> KernelIsa {
     #[cfg(target_arch = "x86_64")]
     {
@@ -319,7 +269,7 @@ fn fill_pairs(row: &[i8], kp: usize, dst: &mut [u32]) {
 /// portable `gemm_i8`.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available (dispatched via [`active_isa`])
+/// Caller must ensure AVX2 is available ([`KernelIsa::is_supported`])
 /// and that the slice shapes satisfy the `QuantStageKernel` contract:
 /// `x.len() == rows·in_dim`, `out.len() == rows·out_dim`, packed/bias/
 /// requant buffers sized by [`pack_i8_pairs`] / `out_dim`. All interior
@@ -731,7 +681,7 @@ const MAX_STACK_IN: usize = 256;
 /// buffer so every activation broadcast comes from one pointer.
 ///
 /// # Safety
-/// AVX-512F required (dispatched via [`active_isa`]); `x.len() ==
+/// AVX-512F required ([`KernelIsa::is_supported`]); `x.len() ==
 /// rows·in_dim`, `out.len() == rows·out_dim`, `packed` sized by
 /// [`pack_f64_blocks`] at 8 lanes, `bias` has `out_dim` entries. A half
 /// block's bias load and output store are masked to its valid lanes;
@@ -1045,8 +995,17 @@ const CONE_SWEEP_CHUNK: usize = 1024;
 /// the inner loop is a contiguous batch of dot products per ring; the
 /// ring loop runs *outside* the pixel loop, which preserves each
 /// pixel's ring-order summation and keeps the result bit-identical to
-/// the per-pixel scalar sweep on every dispatch path.
-pub fn sweep_cone_logls(geoms: &[ConeGeom], centers: &[UnitVec3], floor_const: f64) -> Vec<f64> {
+/// the per-pixel scalar sweep on every arm; `isa` picks the arm.
+///
+/// # Panics
+/// If this host cannot run `isa` ([`KernelIsa::is_supported`]).
+pub fn sweep_cone_logls(
+    geoms: &[ConeGeom],
+    centers: &[UnitVec3],
+    floor_const: f64,
+    isa: KernelIsa,
+) -> Vec<f64> {
+    assert!(isa.is_supported(), "this host cannot run {isa} kernels");
     let n = centers.len();
     let mut px = Vec::with_capacity(n);
     let mut py = Vec::with_capacity(n);
@@ -1058,7 +1017,6 @@ pub fn sweep_cone_logls(geoms: &[ConeGeom], centers: &[UnitVec3], floor_const: f
         pz.push(v.z);
     }
     let mut logls = vec![0.0f64; n];
-    let isa = active_isa();
     let px_base = px.as_ptr() as usize;
     logls
         .par_chunks_mut(CONE_SWEEP_CHUNK)
@@ -1090,8 +1048,8 @@ fn sweep_cone_chunk(
 ) {
     #[cfg(target_arch = "x86_64")]
     if isa.has_avx2() {
-        // SAFETY: AVX2 verified by runtime dispatch; px/py/pz/out all
-        // have the chunk's length by construction in `sweep_cone_logls`.
+        // SAFETY: `sweep_cone_logls` asserted the host runs `isa`;
+        // px/py/pz/out all have the chunk's length by construction there.
         unsafe { sweep_cone_chunk_avx2(geoms, px, py, pz, floor_const, out) };
         return;
     }
@@ -1557,9 +1515,9 @@ fn screen_margin(geoms: &[ConeGeom], floor_const: f64) -> f64 {
 
 /// The first strict maximum of the joint robust log-likelihood over
 /// `centers`, with its exact value: the index and the bits of
-/// `sweep_cone_logls(geoms, centers, floor_const)`'s first strict
+/// `sweep_cone_logls(geoms, centers, floor_const, isa)`'s first strict
 /// maximum, or `None` for an empty plane. `isa` picks the screen's arm
-/// (the localizer passes [`active_isa`]); every arm gives the same bits.
+/// (the localizer passes [`detected_isa`]); every arm gives the same bits.
 ///
 /// 1. *Screen.* Every candidate gets a score `S` from a polynomial
 ///    `acos` with a proven error bound (AVX-512 blocks of 16, AVX2
@@ -1633,31 +1591,6 @@ mod tests {
         assert_eq!(isas[0], KernelIsa::Portable);
         assert_eq!(isas.last(), Some(&detected_isa()));
         assert!(isas.iter().all(|isa| isa.is_supported()));
-    }
-
-    #[test]
-    fn force_portable_overrides_detection() {
-        let _guard = test_isa_lock();
-        set_force_portable(true);
-        assert_eq!(active_isa(), KernelIsa::Portable);
-        set_force_portable(false);
-        assert_eq!(active_isa(), detected_isa());
-        // hand later tests the env-derived default, not our last toggle
-        FORCE_PORTABLE.store(UNINIT, Ordering::Relaxed);
-    }
-
-    /// The CI fallback job sets `ADAPT_FORCE_PORTABLE=1` and relies on
-    /// this assertion to prove the portable kernels actually ran.
-    #[test]
-    fn forced_portable_env_is_respected() {
-        let _guard = test_isa_lock();
-        // re-run the env initialization in case another test toggled the
-        // cached override
-        FORCE_PORTABLE.store(UNINIT, Ordering::Relaxed);
-        if std::env::var("ADAPT_FORCE_PORTABLE").as_deref() == Ok("1") {
-            assert_eq!(active_isa(), KernelIsa::Portable);
-        }
-        FORCE_PORTABLE.store(UNINIT, Ordering::Relaxed);
     }
 
     #[test]
@@ -1906,7 +1839,6 @@ mod tests {
 
     #[test]
     fn screen_scores_stay_within_the_margin_and_argmax_is_exact() {
-        let _guard = test_isa_lock();
         let isas = supported_isas();
         for (case, &n) in [1usize, 2, 5, 8, 13, 64, 200, 600, 1200].iter().enumerate() {
             for (floor_z, m) in [(3.0, 8 * (case + 2) + case % 8), (2.0, 61)] {
@@ -1924,11 +1856,8 @@ mod tests {
                     assert_eq!(bits(&screens[0]), bits(screen), "n={n} m={m} isa={isa}");
                 }
                 for &isa in &isas {
-                    // the sweep follows the process dispatch: portable, or
-                    // the host's vector arm
-                    set_force_portable(isa == KernelIsa::Portable);
                     let ctx = format!("n={n} m={m} floor_z={floor_z} isa={isa}");
-                    let exact = sweep_cone_logls(&geoms, &centers, floor_const);
+                    let exact = sweep_cone_logls(&geoms, &centers, floor_const, isa);
                     for (k, (&s, &l)) in screens[0].iter().zip(&exact).enumerate() {
                         assert!(
                             (s - l).abs() <= margin,
@@ -1946,20 +1875,17 @@ mod tests {
                 }
             }
         }
-        reset_force_portable();
     }
 
     #[test]
     fn argmax_ties_keep_the_earliest_index_and_empty_planes_are_none() {
-        let _guard = test_isa_lock();
         let (geoms, _) = screen_case(50, 0, 7, 3.0);
         let floor_const = -4.5;
         // through the first ring's cone, and far from it
         let on = adapt_math::rotation::deflect(geoms[0].axis, geoms[0].cone_theta, 0.3);
         let off = geoms[0].axis.flipped();
         for isa in supported_isas() {
-            set_force_portable(isa == KernelIsa::Portable);
-            let exact = sweep_cone_logls(&geoms, &[on, off], floor_const);
+            let exact = sweep_cone_logls(&geoms, &[on, off], floor_const, isa);
             assert_ne!(exact[0], exact[1]);
             let (best, other) = if exact[0] > exact[1] {
                 (on, off)
@@ -1970,7 +1896,7 @@ mod tests {
                 other, best, best, other, best, best, best, best, best, best, best,
             ];
             let got = argmax_cone_logl(&geoms, &plane, floor_const, isa).unwrap();
-            let want = sweep_argmax(&sweep_cone_logls(&geoms, &plane, floor_const)).unwrap();
+            let want = sweep_argmax(&sweep_cone_logls(&geoms, &plane, floor_const, isa)).unwrap();
             assert_eq!(got.0, 1);
             assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
             // with no rings every candidate scores 0.0: the first wins
@@ -1980,6 +1906,5 @@ mod tests {
             );
             assert_eq!(argmax_cone_logl(&geoms, &[], floor_const, isa), None);
         }
-        reset_force_portable();
     }
 }

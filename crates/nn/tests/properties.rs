@@ -2,8 +2,9 @@
 
 use adapt_nn::mlp::BlockOrder;
 use adapt_nn::{
-    auc, bce_with_logits, mse, CompiledMlp, CompiledQuantMlp, InferenceScratch, Matrix, Mlp,
-    QuantParams, QuantScheme, QuantScratch, QuantizedMlp, Requant, Sgd, WeightBits,
+    auc, bce_with_logits, mse, supported_isas, CompiledMlp, CompiledQuantMlp, InferenceScratch,
+    KernelIsa, Matrix, Mlp, QuantParams, QuantScheme, QuantScratch, QuantizedMlp, Requant, Sgd,
+    WeightBits,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -208,17 +209,16 @@ proptest! {
         let mut model = Mlp::new(input_dim, &[w1, w2], BlockOrder::LinearFirst, &mut rng);
         let calib = Matrix::he_uniform(32.max(batch), input_dim, &mut rng);
         model.forward(&calib, true);
-        let plan = CompiledMlp::compile(&model);
         let x = Matrix::he_uniform(batch, input_dim, &mut rng);
-        adapt_nn::set_force_portable(false);
-        let dispatched = plan.forward_batch(&x, &mut InferenceScratch::new()).to_vec();
-        adapt_nn::set_force_portable(true);
-        let portable = plan.forward_batch(&x, &mut InferenceScratch::new()).to_vec();
-        adapt_nn::set_force_portable(
-            std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
-        );
-        for (d, p) in dispatched.iter().zip(&portable) {
-            prop_assert!((d - p).abs() < 1e-9, "dispatched {} vs portable {}", d, p);
+        let portable = CompiledMlp::compile_on(&model, KernelIsa::Portable)
+            .forward_batch(&x, &mut InferenceScratch::new())
+            .to_vec();
+        for isa in supported_isas() {
+            let plan = CompiledMlp::compile_on(&model, isa);
+            let vector = plan.forward_batch(&x, &mut InferenceScratch::new()).to_vec();
+            for (v, p) in vector.iter().zip(&portable) {
+                prop_assert!((v - p).abs() < 1e-9, "{} {} vs portable {}", isa, v, p);
+            }
         }
     }
 
@@ -263,10 +263,8 @@ proptest! {
     ) {
         // the vectorized INT8 kernel must reproduce the portable spec
         // kernel bit for bit on arbitrary shapes (tail output blocks,
-        // odd input widths, tail rows) and both weight-scale schemes.
-        // Toggling the process-global override mid-run is benign for
-        // concurrent tests precisely because of the property under test:
-        // every dispatch target computes identical bits.
+        // odd input widths, tail rows) and both weight-scale schemes, on
+        // every rung the host runs.
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9e37));
         let mut model = Mlp::new(input_dim, &[w1, w2], BlockOrder::LinearFirst, &mut rng);
         let calib = Matrix::he_uniform(32.max(batch), input_dim, &mut rng);
@@ -275,17 +273,15 @@ proptest! {
         }
         let scheme = if scheme_pc { QuantScheme::PerChannel } else { QuantScheme::PerTensor };
         let q = QuantizedMlp::quantize_with(&model, &calib, scheme, WeightBits::Int8);
-        let plan = CompiledQuantMlp::compile(&q);
         let x = Matrix::he_uniform(batch, input_dim, &mut rng);
-        adapt_nn::set_force_portable(false);
-        let dispatched = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
-        adapt_nn::set_force_portable(true);
-        let portable = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
-        // restore the env-derived default for any sibling test binary state
-        adapt_nn::set_force_portable(
-            std::env::var("ADAPT_FORCE_PORTABLE").map(|v| v == "1").unwrap_or(false),
-        );
-        prop_assert_eq!(&dispatched, &portable, "isa {}", adapt_nn::detected_isa());
+        let portable = CompiledQuantMlp::compile_on(&q, KernelIsa::Portable)
+            .forward_batch(&x, &mut QuantScratch::new())
+            .to_vec();
+        for isa in supported_isas() {
+            let plan = CompiledQuantMlp::compile_on(&q, isa);
+            let vector = plan.forward_batch(&x, &mut QuantScratch::new()).to_vec();
+            prop_assert_eq!(&vector, &portable, "isa {}", isa);
+        }
         // and the portable plan itself is already pinned to the scalar
         // reference through the per-sample path:
         for (r, &b) in portable.iter().enumerate() {

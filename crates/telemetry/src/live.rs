@@ -701,28 +701,33 @@ fn snapshot_line(
     codec::line("live_snapshot", &[&body])
 }
 
-/// Field `key` of `v`, read the way `adapt top` always has: `Some` only
-/// when present, non-null and of type `T`. Absent, `null` and mistyped
-/// fields read as `None`, never as errors.
-fn loose<T: Deserialize>(v: &Value, key: &str) -> Option<T> {
-    match v.get(key)? {
+/// Field `key` of `v`: `None` when absent or `null` (a NaN gauge is
+/// written as `null`), an error naming the field when present with a
+/// type other than `T`.
+fn field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    match v.get(key) {
         // the vendored `f64` reads null as NaN; here null is absent
-        Value::Null => None,
-        field => T::from_value(field).ok(),
+        None | Some(Value::Null) => Ok(None),
+        Some(f) => T::from_value(f)
+            .map(Some)
+            .map_err(|e| format!("field `{key}`: {e}")),
     }
 }
 
 /// Parse a live snapshot stream (the file `--live-out` writes). Returns
-/// every snapshot in order; unknown line types are rejected so schema
-/// drift is loud.
+/// every snapshot in order; unknown line types and present fields of the
+/// wrong type are rejected, naming the line, so schema drift and
+/// corruption are loud.
 pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
     let mut snaps = Vec::new();
     for line in codec::lines(text) {
         let line = line?;
         let (lineno, v) = (line.lineno, &line.value);
+        let at = |e: String| format!("line {lineno}: {e}");
         match line.ty.as_str() {
             "live_meta" => {
-                let schema: f64 = loose(v, "schema")
+                let schema: f64 = field(v, "schema")
+                    .map_err(at)?
                     .ok_or_else(|| format!("line {lineno}: live_meta missing schema"))?;
                 if schema as u32 > LIVE_SCHEMA {
                     return Err(format!(
@@ -731,25 +736,23 @@ pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
                 }
             }
             "live_snapshot" => {
-                let t_s = loose(v, "t_s")
+                let t_s = field(v, "t_s")
+                    .map_err(at)?
                     .ok_or_else(|| format!("line {lineno}: snapshot missing t_s"))?;
-                let metrics: Vec<Value> = loose(v, "metrics").unwrap_or_default();
+                let metrics: Vec<Value> = field(v, "metrics").map_err(at)?.unwrap_or_default();
                 let samples = metrics
                     .iter()
-                    .map(|m| read_metric(m).map_err(|e| format!("line {lineno}: {e}")))
+                    .map(|m| read_metric(m).map_err(at))
                     .collect::<Result<_, _>>()?;
-                let checks: Vec<Value> = loose(v, "health").unwrap_or_default();
+                let checks: Vec<Value> = field(v, "health").map_err(at)?.unwrap_or_default();
                 let health = checks
                     .iter()
-                    .map(|c| HealthLine {
-                        check: loose(c, "check").unwrap_or_else(|| "?".into()),
-                        ok: loose(c, "ok") == Some(true),
-                        detail: loose(c, "detail").unwrap_or_default(),
-                    })
-                    .collect();
+                    .enumerate()
+                    .map(|(i, c)| read_health(c).map_err(|e| at(format!("health entry {i}: {e}"))))
+                    .collect::<Result<_, _>>()?;
                 snaps.push(LiveSnapshot {
                     t_s,
-                    is_final: loose(v, "final") == Some(true),
+                    is_final: field(v, "final").map_err(at)? == Some(true),
                     samples,
                     health,
                 });
@@ -760,38 +763,58 @@ pub fn parse_live_stream(text: &str) -> Result<Vec<LiveSnapshot>, String> {
     Ok(snaps)
 }
 
+/// One entry of a snapshot's `health`: an absent check name reads as
+/// `?`, an absent verdict as failed.
+fn read_health(c: &Value) -> Result<HealthLine, String> {
+    Ok(HealthLine {
+        check: field(c, "check")?.unwrap_or_else(|| "?".into()),
+        ok: field(c, "ok")? == Some(true),
+        detail: field(c, "detail")?.unwrap_or_default(),
+    })
+}
+
 /// One entry of a snapshot's `metrics`: a name and a known kind are
-/// required; a number that is absent or mistyped reads as 0.
+/// required; a number that is absent or `null` reads as 0, and any field
+/// of the wrong type is an error naming the metric.
 fn read_metric(m: &Value) -> Result<MetricSample, String> {
-    let name: String = loose(m, "name").ok_or("metric missing name")?;
-    let kind = match loose::<String>(m, "kind").as_deref() {
+    let name: String = field(m, "name")?.ok_or("metric missing name")?;
+    let in_metric = |e: String| format!("metric {name}: {e}");
+    let kind = match field::<String>(m, "kind").map_err(in_metric)?.as_deref() {
         Some("counter") => MetricKind::Counter,
         Some("gauge") => MetricKind::Gauge,
         Some("histogram") => MetricKind::Histogram,
         other => return Err(format!("metric {name} has unknown kind {other:?}")),
     };
-    let labels = loose::<Value>(m, "labels")
-        .as_ref()
-        .and_then(Value::as_obj)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-        .collect();
-    let num = |key: &str| loose(m, key).unwrap_or(0.0);
-    let hist = (kind == MetricKind::Histogram).then(|| HistogramSnapshot {
-        count: num("count") as u64,
-        mean_ms: num("mean_ms"),
-        p50_ms: num("p50_ms"),
-        p90_ms: num("p90_ms"),
-        p99_ms: num("p99_ms"),
-        min_ms: num("min_ms"),
-        max_ms: num("max_ms"),
-    });
+    let bad_labels = |e: serde::Error| in_metric(format!("field `labels`: {e}"));
+    let labels = match field::<Value>(m, "labels").map_err(in_metric)? {
+        None => Vec::new(),
+        Some(Value::Obj(pairs)) => pairs
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), String::from_value(v).map_err(bad_labels)?)))
+            .collect::<Result<_, String>>()?,
+        Some(other) => return Err(bad_labels(serde::Error::expected("object", &other))),
+    };
+    let num =
+        |key: &str| -> Result<f64, String> { Ok(field(m, key).map_err(in_metric)?.unwrap_or(0.0)) };
+    let hist = if kind == MetricKind::Histogram {
+        Some(HistogramSnapshot {
+            count: num("count")? as u64,
+            mean_ms: num("mean_ms")?,
+            p50_ms: num("p50_ms")?,
+            p90_ms: num("p90_ms")?,
+            p99_ms: num("p99_ms")?,
+            min_ms: num("min_ms")?,
+            max_ms: num("max_ms")?,
+        })
+    } else {
+        None
+    };
+    let value = num("value")?;
     Ok(MetricSample {
         name,
         labels,
         kind,
-        value: num("value"),
+        value,
         hist,
     })
 }

@@ -1,9 +1,11 @@
 //! Byte-level golden tests of the three telemetry line formats (flight
-//! capture, run stream, live snapshot stream) and a rejection table for
-//! the two strict readers. The goldens pin the exact bytes each writer
-//! emits; the table pins that every line type rejects a `null` in a
-//! required number, a string in a number, a negative unsigned value and
-//! a missing required field, with an error that names the field.
+//! capture, run stream, live snapshot stream) and rejection tables for
+//! their readers. The goldens pin the exact bytes each writer emits; the
+//! tables pin that every capture and run-stream line type rejects a
+//! `null` in a required number, a string in a number, a negative unsigned
+//! value and a missing required field, and that the live reader rejects
+//! a present field of the wrong type, each with an error that names the
+//! field.
 
 use adapt_telemetry::{
     export, parse_live_stream, validate_ndjson, validate_run, AlertRecord, Counter,
@@ -521,5 +523,52 @@ fn legacy_alert_fields_default_but_reject_bad_values() {
         let line = edit(&alert, "stream_id", Some(bad.clone()));
         let err = validate_ndjson(&format!("{meta}\n{line}")).unwrap_err();
         assert!(err.contains("stream_id"), "{bad:?}: {err}");
+    }
+}
+
+/// `(field path into the golden snapshot line, wrong-typed value, the
+/// metric or health entry the error must name)` rows for the live reader.
+const LIVE_TABLE: &[(&str, Fault, &str)] = &[
+    (
+        "metrics.0.value",
+        Fault::Text,
+        "metric adapt_alerts_emitted_total",
+    ),
+    (
+        "metrics.4.p50_ms",
+        Fault::Text,
+        "metric adapt_alert_latency_ms",
+    ),
+    ("health.0.check", Fault::Negative, "health entry 0"),
+    ("health.1.ok", Fault::Text, "health entry 1"),
+];
+
+#[test]
+fn live_reader_rejects_wrong_types_and_names_the_field() {
+    let (meta, snapshot) = LIVE_GOLDEN.trim_end().split_once('\n').unwrap();
+    for &(path, fault, entry) in LIVE_TABLE {
+        let field = path.rsplit('.').next().unwrap();
+        let text = format!("{meta}\n{}\n", edit(snapshot, path, fault.value()));
+        let err = parse_live_stream(&text)
+            .err()
+            .unwrap_or_else(|| panic!("{path} {fault:?} was accepted: {text}"));
+        for part in ["line 2", entry, &format!("`{field}`")] {
+            assert!(
+                err.contains(part),
+                "{path} {fault:?}: `{part}` not in: {err}"
+            );
+        }
+    }
+    // absent and null numbers still read as 0, as for a NaN gauge or an
+    // empty histogram's percentiles
+    for to in [None, Some(Value::Null)] {
+        let snapshot = edit(
+            &edit(snapshot, "metrics.0.value", to.clone()),
+            "metrics.4.p50_ms",
+            to,
+        );
+        let snaps = parse_live_stream(&format!("{meta}\n{snapshot}\n")).unwrap();
+        assert_eq!(snaps[0].samples[0].value, 0.0);
+        assert_eq!(snaps[0].samples[4].hist.unwrap().p50_ms, 0.0);
     }
 }
