@@ -223,8 +223,7 @@ pub fn run_table12(models: &TrainedModels, repetitions: usize) -> String {
 /// As [`run_table12`]; `paper_layout` selects the paper's original
 /// two-column (mean + range) rendering instead of the percentile table.
 pub fn run_table12_with(models: &TrainedModels, repetitions: usize, paper_layout: bool) -> String {
-    let pipeline = Pipeline::new(models);
-    let table = measure_stages(&pipeline, repetitions, 0x712);
+    let table = measure_stages(models, repetitions, 0x712);
     format!(
         "Tables I/II — stage timing on this host over {} repetitions\n\
          (paper: RPi 3B+ total 834 ms [730-1116]; Atom total 220.7 ms\n\

@@ -314,7 +314,7 @@ pub fn localize(args: &Args) -> Result<(), String> {
                 rings_in: out.rings_in,
                 rings_surviving: out.rings_surviving,
                 degenerate_rings: out.degenerate_rings,
-                total_ms: out.timings.total.as_secs_f64() * 1e3,
+                total_ms: out.total.as_secs_f64() * 1e3,
             });
             println!(
                 "{}: error {:.2} deg | {} rings in, {} surviving, \
@@ -324,7 +324,7 @@ pub fn localize(args: &Args) -> Result<(), String> {
                 out.rings_in,
                 out.rings_surviving,
                 out.degenerate_rings,
-                out.timings.total.as_secs_f64() * 1e3
+                out.total.as_secs_f64() * 1e3
             );
         }
     }
@@ -793,8 +793,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
         report.wall_s, report.events_ingested, report.streams, report.aggregate_realtime_factor
     );
     println!(
-        "pool: {} epoch(s) dispatched, {} stolen, max backlog {}",
-        report.pool.pushed, report.pool.stolen, report.pool.max_pending
+        "pool: {} epoch(s) dispatched, max backlog {}",
+        report.pool.pushed, report.pool.max_pending
     );
     let levels = adapt_onboard::DegradationLevel::ALL;
     let level_summary: Vec<String> = levels

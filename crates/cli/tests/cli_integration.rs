@@ -69,6 +69,35 @@ fn telemetry_report_rejects_missing_file_with_nonzero_exit() {
 }
 
 #[test]
+fn telemetry_report_renders_a_retired_counter() {
+    // a schema-8 `serve --telemetry` capture from before the ground pool
+    // stopped stealing work still renders, steal count included
+    let dir = temp_dir("retired");
+    let path = dir.join("capture.ndjson");
+    std::fs::write(
+        &path,
+        "{\"type\":\"meta\",\"schema\":8,\"tool\":\"adapt-telemetry\",\"repetitions\":0}\n\
+         {\"type\":\"counter\",\"name\":\"streams_served\",\"value\":2}\n\
+         {\"type\":\"counter\",\"name\":\"pool_steals\",\"value\":1}\n",
+    )
+    .unwrap();
+    let out = adapt(&["telemetry-report", "--input", path.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("pool_steals") && l.ends_with(" 1")),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn runs_subcommands_round_trip_a_tracked_run() {
     let root = temp_dir("runs");
     // fabricate two runs through the real tracker

@@ -38,7 +38,7 @@ pub use experiments::{
     containment_experiment, fluence_sweep, format_rows, noise_sweep, polar_sweep, ContainmentStats,
     FigureRow, TrialSpec,
 };
-pub use pipeline::{Pipeline, PipelineMode, TrialOutcome, TrialTimings};
+pub use pipeline::{Pipeline, PipelineMode, TrialOutcome};
 pub use timing::{measure_stages, StageRow, TimingTable};
 pub use training::{
     background_dataset, d_eta_dataset, feature_schema_hash, generate_training_rings, train_models,

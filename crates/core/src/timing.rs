@@ -8,15 +8,17 @@
 //! modest share; five full iterations well under a second) is the claim
 //! under reproduction.
 //!
-//! Each stage accumulates into an [`adapt_telemetry::LatencyHistogram`],
-//! so the table reports percentiles (p50/p99) alongside the paper's
-//! mean/range columns, and min/max are the histogram's exact extremes
-//! rather than a separately-tracked pair that can drift out of sync with
-//! the distribution.
+//! The pipeline records each stage into its attached
+//! [`FlightRecorder`]'s latency histograms, so the table reports
+//! percentiles (p50/p99) alongside the paper's mean/range columns, and
+//! min/max are the histogram's exact extremes rather than a
+//! separately-tracked pair that can drift out of sync with the
+//! distribution.
 
 use crate::pipeline::{Pipeline, PipelineMode};
+use crate::training::TrainedModels;
 use adapt_sim::{GrbConfig, PerturbationConfig};
-use adapt_telemetry::LatencyHistogram;
+use adapt_telemetry::{FlightRecorder, Stage};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated timing for one pipeline stage.
@@ -82,45 +84,42 @@ impl TimingTable {
 
 /// Measure the stage breakdown over `repetitions` runs of the standard
 /// 1 MeV/cm² normally-incident burst (paper protocol: 300 repetitions).
-pub fn measure_stages(pipeline: &Pipeline<'_>, repetitions: usize, seed: u64) -> TimingTable {
+/// The rows are the stage histograms the pipeline records into its
+/// attached [`FlightRecorder`].
+pub fn measure_stages(models: &TrainedModels, repetitions: usize, seed: u64) -> TimingTable {
+    let recorder = FlightRecorder::new();
+    let pipeline = Pipeline::new(models).with_recorder(&recorder);
     let grb = GrbConfig::new(1.0, 0.0);
-    let hists: Vec<LatencyHistogram> = (0..6).map(|_| LatencyHistogram::new()).collect();
     for rep in 0..repetitions {
-        let out = pipeline.run_trial(
+        pipeline.run_trial(
             PipelineMode::Ml,
             &grb,
             PerturbationConfig::default(),
             seed.wrapping_add(rep as u64),
         );
-        hists[0].record(out.timings.reconstruction);
-        hists[1].record(out.timings.setup);
-        hists[2].record(out.timings.d_eta_inference);
-        hists[3].record(out.timings.background_inference);
-        hists[4].record(out.timings.approx_refine);
-        hists[5].record(out.timings.total);
     }
-    let row = |stage: &str, h: &LatencyHistogram| {
-        let s = h.snapshot();
+    let rows = [
+        Stage::Reconstruction,
+        Stage::Setup,
+        Stage::DEtaInference,
+        Stage::BackgroundInference,
+        Stage::ApproxRefine,
+        Stage::Total,
+    ]
+    .into_iter()
+    .map(|stage| {
+        let s = recorder.stage_snapshot(stage);
         StageRow {
-            stage: stage.to_string(),
+            stage: stage.table_label().to_string(),
             mean_ms: s.mean_ms,
             p50_ms: s.p50_ms,
             p99_ms: s.p99_ms,
             min_ms: s.min_ms,
             max_ms: s.max_ms,
         }
-    };
-    TimingTable {
-        rows: vec![
-            row("Reconstruction", &hists[0]),
-            row("Localization Setup", &hists[1]),
-            row("DEta NN Inference", &hists[2]),
-            row("Bkg NN Inference", &hists[3]),
-            row("Approx + Refine", &hists[4]),
-            row("Total (Max 5 iter)", &hists[5]),
-        ],
-        repetitions,
-    }
+    })
+    .collect();
+    TimingTable { rows, repetitions }
 }
 
 #[cfg(test)]
@@ -136,8 +135,7 @@ mod tests {
 
     #[test]
     fn timing_table_has_paper_rows() {
-        let pipeline = Pipeline::new(models());
-        let table = measure_stages(&pipeline, 3, 1);
+        let table = measure_stages(models(), 3, 1);
         let stages: Vec<&str> = table.rows.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
             stages,

@@ -9,11 +9,10 @@
 //!
 //! - [`service::GroundService`] drives N [`StreamingSource`] tenants
 //!   through sharded ingest lanes (per-stream [`OnlineTrigger`] state,
-//!   cheap ticks, structurally zero ingest drops) into one
-//!   [`pool::WorkStealingPool`] of localization workers;
-//! - the pool orders epochs by **deadline slack** (earliest absolute
-//!   deadline first) across per-worker shards with stealing, so the
-//!   degradation ladder engages only on streams actually behind;
+//!   cheap ticks, structurally zero ingest drops) into one epoch FIFO
+//!   (an [`adapt_onboard::BoundedQueue`]) that every localization worker
+//!   pops; every tenant has the same relative deadline, so admission
+//!   order is deadline order;
 //! - every worker localizes through one shared
 //!   [`EpochScheduler`](adapt_onboard::EpochScheduler) — the same
 //!   degradation ladder, spans, alert assembly and transition log as the
@@ -34,11 +33,9 @@
 //! [`OnlineTrigger`]: adapt_onboard::OnlineTrigger
 
 pub mod fanout;
-pub mod pool;
 pub mod service;
 
 pub use fanout::{FanoutStats, PublishOutcome, SubscriberFilter, SubscriberPopulation};
-pub use pool::{PoolStats, WorkStealingPool};
 pub use service::{
-    synth_fleet, GroundAlert, GroundConfig, GroundReport, GroundService, StreamSpec,
+    synth_fleet, GroundAlert, GroundConfig, GroundReport, GroundService, PoolStats, StreamSpec,
 };

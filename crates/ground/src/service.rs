@@ -4,7 +4,7 @@
 //! ```text
 //!   stream 0 ─┐                        ┌─ worker 0 ─┐
 //!   stream 1 ─┼─ ingest shard 0 ─┐     ├─ worker 1 ─┼─ alerts ─ fan-out
-//!   stream 2 ─┼─ ingest shard 1 ─┼─ pool (EDF+steal)┆
+//!   stream 2 ─┼─ ingest shard 1 ─┼─FIFO┤            ┆
 //!      ...    ┘                  ┘     └─ worker W ─┘
 //! ```
 //!
@@ -13,10 +13,11 @@
 //! advances them round-robin in `TICK_S` (0.5 s) slices of stream time,
 //! feeding every event straight into the stream's trigger — no intermediate
 //! queue, so ground ingest never drops an event. Localization is
-//! expensive and pooled: a completed epoch is pushed into the
-//! [`WorkStealingPool`] with its absolute alert deadline, and whichever
-//! worker is free first takes the most urgent epoch anywhere in the
-//! system.
+//! expensive and pooled: a completed epoch is pushed into one shared
+//! [`BoundedQueue`] (a FIFO without a capacity limit, so a push never
+//! sheds or stalls), and whichever worker is free first takes the oldest
+//! epoch anywhere in the system. Every tenant has the same relative
+//! deadline, so admission order is deadline order.
 //!
 //! Every worker localizes through one shared [`EpochScheduler`] — the
 //! same degradation ladder the single-stream
@@ -29,30 +30,29 @@
 //! [`epoch_rng_seed`](adapt_onboard::epoch_rng_seed) from the stream's
 //! localizer seed. That derivation is what makes every localization
 //! bit-identical to a single-stream run with the same seeds, regardless
-//! of worker count or steal order.
+//! of worker count or pop order.
 //!
 //! The degradation ladder engages per *task*, not per service: a worker
 //! picks the level from the epoch's own remaining deadline slack and the
-//! pool backlog normalized per worker, so only streams actually behind
+//! pool backlog normalized per worker, so only epochs actually behind
 //! degrade. `deterministic: true` pins `full-ml` (level choice is the
 //! one wall-clock-dependent decision) for replay comparisons.
 
 use crate::fanout::SubscriberPopulation;
-use crate::pool::{PoolStats, WorkStealingPool};
 use adapt_core::training::TrainedModels;
 use adapt_localize::{InferenceWorkspace, SkyPixelization};
 use adapt_math::stats::quantile_ceil_rank;
 use adapt_nn::CompiledMlp;
 use adapt_onboard::{
-    EpochLocalizer, EpochScheduler, GrbAlert, OnlineTrigger, OnlineTriggerConfig, OpenEpoch,
-    ScheduledEpoch, COARSE_PIXELS, REDUCED_ITERATIONS,
+    BoundedQueue, DropPolicy, EpochLocalizer, EpochScheduler, GrbAlert, OnlineTrigger,
+    OnlineTriggerConfig, OpenEpoch, ScheduledEpoch, COARSE_PIXELS, REDUCED_ITERATIONS,
 };
 use adapt_sim::{FlightProfile, GrbConfig, StreamConfig, StreamingSource};
 use adapt_telemetry::{Counter, CounterHandle, FanOut, LiveObserver, Recorder, TraceSpanRecord};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Stream-time slice a lane advances per round-robin turn (s).
 const TICK_S: f64 = 0.5;
@@ -60,7 +60,7 @@ const TICK_S: f64 = 0.5;
 /// One tenant stream of the service.
 #[derive(Debug, Clone)]
 pub struct StreamSpec {
-    /// Stable tenant id (also the pool push hint).
+    /// Stable tenant id.
     pub id: usize,
     /// The simulated flight stream.
     pub config: StreamConfig,
@@ -112,7 +112,7 @@ pub struct GroundAlert {
 
 impl GroundAlert {
     /// The deterministic fields, bit-exact: everything a replay with the
-    /// same seeds must reproduce regardless of worker count, steal order,
+    /// same seeds must reproduce regardless of worker count, pop order,
     /// or wall-clock load. Scheduling artifacts (latency, queue depths,
     /// the mode under non-deterministic level choice) are excluded.
     pub fn deterministic_key(&self) -> (usize, u64, [u64; 5], usize, usize) {
@@ -130,6 +130,15 @@ impl GroundAlert {
             self.alert.surviving_rings,
         )
     }
+}
+
+/// Lifetime counters of the epoch queue.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PoolStats {
+    /// Epochs admitted.
+    pub pushed: u64,
+    /// Maximum epochs pending at once.
+    pub max_pending: usize,
 }
 
 /// What one service run did.
@@ -266,8 +275,10 @@ impl<'a> GroundService<'a> {
             config.deterministic,
         );
 
-        let pool: WorkStealingPool<ScheduledEpoch> = WorkStealingPool::new(config.workers);
-        let deadline = Duration::from_secs_f64(config.deadline_ms / 1e3);
+        // one FIFO for every worker: unbounded and blocking, so an epoch
+        // is never shed and ingest never stalls on a push
+        let pool: BoundedQueue<ScheduledEpoch> =
+            BoundedQueue::new("pool", usize::MAX, DropPolicy::Block);
         let alerts: Mutex<Vec<GroundAlert>> = Mutex::new(Vec::new());
         let per_level: [AtomicU64; 4] = Default::default();
         let events_ingested = AtomicU64::new(0);
@@ -310,11 +321,11 @@ impl<'a> GroundService<'a> {
                                 lane.next_epoch_index,
                                 lane.localizer_seed,
                                 epoch,
-                                pool.pending(),
+                                pool.len(),
                             );
                             lane.next_epoch_index += 1;
-                            pool.push(lane.stream_id, job.ready + deadline, job);
-                            recorder.queue_depth("pool", pool.pending() as u64);
+                            pool.push(job);
+                            recorder.queue_depth("pool", pool.len() as u64);
                         };
                         while active > 0 {
                             for lane in &mut lanes {
@@ -372,12 +383,12 @@ impl<'a> GroundService<'a> {
             for w in 0..config.workers {
                 scope.spawn(move || {
                     let mut ws = InferenceWorkspace::new();
-                    while let Some(job) = pool.pop(w) {
+                    while let Some(job) = pool.pop() {
                         // backlog normalized per worker: only global
                         // pressure beyond what the pool can absorb
                         // forbids the expensive rungs
-                        let backlog = pool.pending() / config.workers;
-                        let depths = || (0, pool.pending());
+                        let backlog = pool.len() / config.workers;
+                        let depths = || (0, pool.len());
                         let Some(alert) =
                             scheduler.localize(&job, backlog, Some(w), depths, &mut ws)
                         else {
@@ -411,7 +422,7 @@ impl<'a> GroundService<'a> {
                                         "matched={} delivered={} shed={}",
                                         out.matched, out.delivered, out.shed
                                     ),
-                                    ..job.child_span(fan_start_ms, pool.pending())
+                                    ..job.child_span(fan_start_ms, pool.len())
                                 });
                             }
                         }
@@ -431,8 +442,11 @@ impl<'a> GroundService<'a> {
         });
         let wall_s = t_start.elapsed().as_secs_f64();
 
-        let pool_stats = pool.stats();
-        recorder.add(Counter::PoolSteals, pool_stats.stolen);
+        let queue_stats = pool.stats();
+        let pool_stats = PoolStats {
+            pushed: queue_stats.pushed,
+            max_pending: queue_stats.max_depth,
+        };
         let mut alerts = alerts.into_inner().unwrap();
         let epoch_latencies_ms = alerts.iter().map(|a| a.alert.latency_ms).collect();
         alerts.sort_by_key(|a| (a.stream_id, a.epoch_index));

@@ -29,10 +29,6 @@ fn models() -> &'static TrainedModels {
 /// reason. Everything else MUST be exercised.
 const ALLOWED_ZERO: &[(Counter, &str)] = &[
     (
-        Counter::PoolSteals,
-        "steal counts depend on scheduler timing; a lightly loaded pool may never steal",
-    ),
-    (
         Counter::DriftFeaturesFlagged,
         "in-distribution inference flags no features; a nonzero value here would be a drift bug",
     ),

@@ -57,7 +57,7 @@ fn deterministic_config(workers: usize, shards: usize) -> GroundConfig {
 }
 
 /// Satellite: the same per-stream seeds must produce a bit-identical
-/// alert set regardless of pool worker count, ingest sharding, or steal
+/// alert set regardless of pool worker count, ingest sharding, or pop
 /// order. Pull-based ingest is structurally lossless, so every geometry
 /// (sharded ingest included) must also report zero dropped events.
 #[test]

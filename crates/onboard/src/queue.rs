@@ -1,7 +1,7 @@
 //! Bounded stage queues with explicit backpressure accounting.
 //!
 //! The flight runtime's stages are decoupled by [`BoundedQueue`]s: a
-//! mutex-and-condvar MPSC queue with a hard capacity and a declared
+//! mutex-and-condvar MPMC queue with a hard capacity and a declared
 //! [`DropPolicy`]. Capacity pressure is never silent — a `Block` queue
 //! stalls the producer (backpressure propagates upstream), a
 //! `DropNewest` queue sheds the incoming item and counts it. Every queue
@@ -39,9 +39,10 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A bounded MPSC queue (used SPSC in the runtime) with close semantics:
-/// after [`close`](BoundedQueue::close), pushes are rejected and pops
-/// drain the remainder then return `None`.
+/// A bounded MPMC queue with close semantics: after
+/// [`close`](BoundedQueue::close), pushes are rejected and pops drain the
+/// remainder then return `None`. The flight runtime uses it SPSC; the
+/// ground service's localization workers all pop one epoch queue.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     name: &'static str,
@@ -282,6 +283,56 @@ mod tests {
             "a slow consumer against 8 producers must shed (got 0 drops)"
         );
         assert!(s.max_depth <= CAPACITY, "capacity is a hard bound");
+    }
+
+    #[test]
+    fn concurrent_workers_drain_everything_exactly_once() {
+        // The ground pool's shape: producers push while several workers
+        // pop the same queue; every item reaches exactly one worker and
+        // `close` releases every worker once the queue drains.
+        const ITEMS: u64 = 2000;
+        const PRODUCERS: u64 = 2;
+        const WORKERS: usize = 4;
+        let q: Arc<BoundedQueue<u64>> =
+            Arc::new(BoundedQueue::new("t", usize::MAX, DropPolicy::Block));
+        let consumers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(item) = q.pop() {
+                        got.push(item);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for i in (p..ITEMS).step_by(PRODUCERS as usize) {
+                        assert!(q.push(i));
+                    }
+                })
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
+        }
+        q.close();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all.len() as u64, ITEMS, "every item consumed");
+        all.dedup();
+        assert_eq!(all.len() as u64, ITEMS, "no item consumed twice");
+        let s = q.stats();
+        assert_eq!(s.pushed, ITEMS);
+        assert_eq!(s.dropped, 0);
+        assert!(s.max_depth > 0);
     }
 
     #[test]

@@ -67,6 +67,11 @@ use serde::{Deserialize, Serialize, Value};
 /// absent in older captures, it defaults to `0`.
 pub const NDJSON_SCHEMA: u32 = 8;
 
+/// Counter names older captures may hold but export no longer writes.
+/// `pool_steals` counted the ground pool's work stealing (schemas 4–8);
+/// the pool is now one FIFO that every worker pops, so nothing steals.
+const RETIRED_COUNTERS: &[&str] = &["pool_steals"];
+
 /// The `meta` line.
 #[derive(Default, Serialize, Deserialize)]
 struct Meta {
@@ -306,7 +311,9 @@ pub fn validate(text: &str) -> Result<NdjsonSummary, String> {
             }
             "counter" => {
                 let name = line.read::<Name>()?.name;
-                if !Counter::ALL.iter().any(|c| c.name() == name) {
+                if !Counter::ALL.iter().any(|c| c.name() == name)
+                    && !RETIRED_COUNTERS.contains(&name.as_str())
+                {
                     return Err(format!("line {lineno}: unknown counter `{name}`"));
                 }
                 let value = line.read::<CounterValue>()?.value;
@@ -600,6 +607,20 @@ mod tests {
         let negative = legacy.replace("\"t_s\"", "\"stream_id\":-1,\"t_s\"");
         let err = validate(&format!("{meta}\n{negative}\n")).unwrap_err();
         assert!(err.contains("stream_id"), "{err}");
+    }
+
+    #[test]
+    fn retired_counter_validates_but_unknown_counter_is_rejected() {
+        // A schema-8 serve capture written while the ground pool still
+        // stole work holds a `pool_steals` line; it must keep reading.
+        let meta = format!("{{\"type\":\"meta\",\"schema\":{NDJSON_SCHEMA},\"repetitions\":1}}");
+        let retired = "{\"type\":\"counter\",\"name\":\"pool_steals\",\"value\":3}";
+        let summary = validate(&format!("{meta}\n{retired}\n")).expect("retired name validates");
+        assert_eq!(summary.counters, vec![("pool_steals".to_string(), 3)]);
+
+        let unknown = retired.replace("pool_steals", "pool_stolen");
+        let err = validate(&format!("{meta}\n{unknown}\n")).unwrap_err();
+        assert!(err.contains("unknown counter `pool_stolen`"), "{err}");
     }
 
     #[test]

@@ -125,9 +125,6 @@ pub enum Counter {
     CheckpointsWritten,
     /// Ground segment: flight streams multiplexed by the service.
     StreamsServed,
-    /// Ground segment: epochs an idle pool worker stole from a sibling's
-    /// shard.
-    PoolSteals,
     /// Ground segment: alert deliveries accepted into subscriber
     /// mailboxes.
     AlertsFannedOut,
@@ -147,7 +144,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in export (and declaration) order: `counter as
     /// usize` indexes it.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 20] = [
         Counter::TrialsRun,
         Counter::RingsIn,
         Counter::RingsRejected,
@@ -163,7 +160,6 @@ impl Counter {
         Counter::DegradationTransitions,
         Counter::CheckpointsWritten,
         Counter::StreamsServed,
-        Counter::PoolSteals,
         Counter::AlertsFannedOut,
         Counter::FanoutShed,
         Counter::FalseAlerts,
@@ -189,7 +185,6 @@ impl Counter {
             Counter::DegradationTransitions => "degradation_transitions",
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::StreamsServed => "streams_served",
-            Counter::PoolSteals => "pool_steals",
             Counter::AlertsFannedOut => "alerts_fanned_out",
             Counter::FanoutShed => "fanout_shed",
             Counter::FalseAlerts => "false_alerts",

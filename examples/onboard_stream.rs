@@ -54,7 +54,7 @@ fn main() {
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         // what the FPGA would charge for the background inferences instead
         let fpga_ms = report.batch_latency_ms(outcome.rings_in, 10.0);
-        let ok = outcome.timings.total.as_secs_f64() * 1e3 <= budget_ms;
+        let ok = outcome.total.as_secs_f64() * 1e3 <= budget_ms;
         if ok {
             met += 1;
         }
@@ -71,7 +71,7 @@ fn main() {
              (on-board 1-sigma estimate {onboard_sigma:.2} deg), pipeline {:>6.1} ms \
              (budget {}: {}), fpga bkg pass would cost {:.2} ms, wall {:.0} ms",
             outcome.error_deg,
-            outcome.timings.total.as_secs_f64() * 1e3,
+            outcome.total.as_secs_f64() * 1e3,
             budget_ms,
             if ok { "met" } else { "MISSED" },
             fpga_ms,

@@ -31,7 +31,7 @@ fn main() {
             outcome.error_deg,
             outcome.rings_in,
             outcome.rings_surviving,
-            outcome.timings.total.as_secs_f64() * 1e3,
+            outcome.total.as_secs_f64() * 1e3,
         );
     }
 }
